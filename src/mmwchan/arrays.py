@@ -46,12 +46,7 @@ class ArrayPair:
     rx: PlanarArray
 
 
-def steering_vector(
-    array: PlanarArray,
-    azimuth: float,
-    elevation: float,
-    wavelength: float,
-) -> np.ndarray:
+def steering_vector(array: PlanarArray, azimuth, elevation, wavelength: float) -> np.ndarray:
     """Unit-norm array response for a plane wave from (azimuth, elevation).
 
     Element ``(m, n)`` contributes the phase
@@ -60,11 +55,18 @@ def steering_vector(
     measured from the horizontal plane (positive up).  Because the spacing is
     specified in wavelengths, ``k * d`` reduces to
     ``2 pi * spacing_wavelengths`` for any carrier.
+
+    Angles broadcast: arrays of shape ``S`` give responses of shape
+    ``S + (n_elements,)``, one row per direction; scalars give ``(n_elements,)``.
     """
     del wavelength  # cancels against the spacing expressed in wavelengths
     kd = 2.0 * np.pi * array.spacing_wavelengths
+    az = np.asarray(azimuth, dtype=float)[..., None]
+    el = np.asarray(elevation, dtype=float)[..., None]
     m = np.arange(array.horizontal)
     n = np.arange(array.vertical)
-    a_h = np.exp(-1j * kd * m * (np.sin(azimuth) * np.sin(elevation)))
-    a_v = np.exp(-1j * kd * n * np.cos(elevation))
-    return np.kron(a_h, a_v) / np.sqrt(array.n_elements)
+    a_h = np.exp(-1j * kd * m * (np.sin(az) * np.sin(el)))
+    a_v = np.exp(-1j * kd * n * np.cos(el))
+    # Horizontal-major outer product: the row-wise form of kron(a_h, a_v).
+    a = a_h[..., :, None] * a_v[..., None, :]
+    return a.reshape(a.shape[:-2] + (array.n_elements,)) / np.sqrt(array.n_elements)

@@ -5,11 +5,19 @@ attenuations, and the direct-path state for one link drop.  Sampling renders
 the realization onto a uniform delay grid through the end-to-end pulse and
 trims the grid to the shortest window that retains the requested share of
 the total tap energy.
+
+Rendering is shared with :mod:`mmwchan.timevariant`.  A realization is
+flattened once into a path table holding the steering matrices ``A_r``
+(paths x N_R) and ``A_t`` (paths x N_T); the truncated pulse of every path
+on the delay grid forms a matrix ``Pi`` (taps x paths).  Under per-path
+weights ``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)``, one small
+matrix product per tap, so a tap's value never depends on which other
+taps are rendered with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -240,113 +248,95 @@ def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> Chann
 class _PathTable:
     """Per-path quantities shared by static sampling and snapshot evolution.
 
-    The direct path, when present, is the last row.  ``static_scale`` holds
-    the deterministic amplitude (normalization times attenuation);
-    ``base_gain`` the stochastic unit-variance gain (``alpha`` per scattered
-    ray, ``exp(j*phase)`` for the direct path).
+    Row ``p`` of every array describes path ``p``; the direct path, when
+    present, is the last row.  ``static_scale`` holds the deterministic
+    amplitude (normalization times attenuation); ``base_gain`` the stochastic
+    unit-variance gain (``alpha`` per scattered ray, ``exp(j*phase)`` for the
+    direct path).
     """
 
-    outer: np.ndarray        # (n_paths, N_R, N_T) steering outer products
+    a_r: np.ndarray          # (n_paths, N_R) receive steering vectors
+    a_t: np.ndarray          # (n_paths, N_T) transmit steering vectors
     static_scale: np.ndarray  # (n_paths,) real
     base_gain: np.ndarray    # (n_paths,) complex
     tau_rel: np.ndarray      # (n_paths,) delay relative to the direct path
-    aod_azimuth: np.ndarray
-    aod_elevation: np.ndarray
-    aoa_azimuth: np.ndarray
-    aoa_elevation: np.ndarray
+    angles: RayAngles        # (n_paths,) arrays
     los_index: int | None
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.static_scale)
 
 
 def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
-    """Flatten a realization into per-path assembly quantities.
+    """Flatten a realization into per-path rendering quantities.
 
     The power normalization is recomputed from the supplied arrays, so a
     fixed realization can be re-sampled under different array geometries.
     """
+    los = real.los
+    if not real.clusters and not los.present:
+        raise ValueError("realization has no propagation paths")
     n_rx = arrays.rx.n_elements
     n_tx = arrays.tx.n_elements
     gamma = _gain_normalization(n_rx, n_tx, real.total_rays) if real.clusters else 0.0
+
+    def column(name: str, los_value, dtype=float) -> np.ndarray:
+        """Every cluster's per-ray ``name`` field, then the direct path's value."""
+        parts = [getattr(c, name) for c in real.clusters]
+        if los.present:
+            parts.append([los_value])
+        return np.concatenate(parts).astype(dtype)
+
+    angles = RayAngles(
+        **{f.name: column(f.name, getattr(los.angles, f.name)) for f in fields(RayAngles)}
+    )
+    amplitude = np.full(len(angles.aod_azimuth), gamma)
+    if los.present:
+        amplitude[-1] = np.sqrt(n_rx * n_tx)
+    attenuation_db = column("attenuation_db", los.attenuation_db)
     wavelength = real.wavelength
-
-    outers, scales, gains, taus = [], [], [], []
-    aod_az, aod_el, aoa_az, aoa_el = [], [], [], []
-    for cluster in real.clusters:
-        for l in range(cluster.n_rays):
-            a_r = steering_vector(
-                arrays.rx, cluster.aoa_azimuth[l], cluster.aoa_elevation[l], wavelength
-            )
-            a_t = steering_vector(
-                arrays.tx, cluster.aod_azimuth[l], cluster.aod_elevation[l], wavelength
-            )
-            outers.append(np.outer(a_r, a_t.conj()))
-            scales.append(gamma * 10.0 ** (cluster.attenuation_db[l] / 20.0))
-            gains.append(cluster.gains[l])
-            taus.append(cluster.delays[l] - real.los.delay)
-            aod_az.append(cluster.aod_azimuth[l])
-            aod_el.append(cluster.aod_elevation[l])
-            aoa_az.append(cluster.aoa_azimuth[l])
-            aoa_el.append(cluster.aoa_elevation[l])
-
-    los_index = None
-    if real.los.present:
-        los_index = len(scales)
-        ang = real.los.angles
-        a_r = steering_vector(arrays.rx, ang.aoa_azimuth, ang.aoa_elevation, wavelength)
-        a_t = steering_vector(arrays.tx, ang.aod_azimuth, ang.aod_elevation, wavelength)
-        outers.append(np.outer(a_r, a_t.conj()))
-        scales.append(np.sqrt(n_rx * n_tx) * 10.0 ** (real.los.attenuation_db / 20.0))
-        gains.append(np.exp(1j * real.los.phase))
-        taus.append(0.0)
-        aod_az.append(ang.aod_azimuth)
-        aod_el.append(ang.aod_elevation)
-        aoa_az.append(ang.aoa_azimuth)
-        aoa_el.append(ang.aoa_elevation)
-
-    if not scales:
-        raise ValueError("realization has no propagation paths")
     return _PathTable(
-        outer=np.array(outers),
-        static_scale=np.array(scales, dtype=float),
-        base_gain=np.array(gains, dtype=np.complex128),
-        tau_rel=np.array(taus, dtype=float),
-        aod_azimuth=np.array(aod_az, dtype=float),
-        aod_elevation=np.array(aod_el, dtype=float),
-        aoa_azimuth=np.array(aoa_az, dtype=float),
-        aoa_elevation=np.array(aoa_el, dtype=float),
-        los_index=los_index,
+        a_r=steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation, wavelength),
+        a_t=steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation, wavelength),
+        static_scale=amplitude * 10.0 ** (attenuation_db / 20.0),
+        base_gain=column("gains", np.exp(1j * los.phase), np.complex128),
+        tau_rel=column("delays", los.delay) - los.delay,
+        angles=angles,
+        los_index=len(amplitude) - 1 if los.present else None,
     )
 
 
-def _assemble_grid(
-    table: _PathTable,
-    weights: np.ndarray,
-    spec: PulseSpec,
-    oversampling: int,
+def _pulse_matrix(
+    table: _PathTable, spec: PulseSpec, oversampling: int
 ) -> tuple[np.ndarray, int]:
-    """Accumulate weighted pulse-shaped paths onto the full delay grid.
+    """Truncated pulse of every path on the full delay grid.
 
-    Returns the grid tensor and the grid index of its first sample relative
-    to the direct-path delay.
+    Entry ``[i, p]`` is path ``p``'s pulse at grid index ``n_lo + i``, zero
+    outside its truncated support.  The grid covers every path's support;
+    returns the matrix and ``n_lo``, the grid index of its first row
+    relative to the direct-path delay.
     """
     dt = spec.symbol_period / oversampling
     half_t = spec.truncation_half_length * spec.symbol_period
     starts = np.ceil((table.tau_rel - half_t) / dt).astype(int)
     stops = np.floor((table.tau_rel + half_t) / dt).astype(int)
-    n_lo = int(starts.min())
-    n_hi = int(stops.max())
-    n_rx, n_tx = table.outer.shape[1:]
-    grid = np.zeros((n_hi - n_lo + 1, n_rx, n_tx), dtype=np.complex128)
-    for p in range(table.n_paths):
-        n = np.arange(starts[p], stops[p] + 1)
-        h = end_to_end_pulse(spec, n * dt - table.tau_rel[p])
-        grid[starts[p] - n_lo : stops[p] + 1 - n_lo] += (
-            h[:, None, None] * (weights[p] * table.outer[p])
-        )
-    return grid, n_lo
+    n = np.arange(starts.min(), stops.max() + 1)[:, None]
+    inside = (n >= starts) & (n <= stops)
+    pulse = np.where(inside, end_to_end_pulse(spec, n * dt - table.tau_rel), 0.0)
+    return pulse, int(starts.min())
+
+
+def _render_taps(
+    table: _PathTable, pulse: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Tap tensor for the grid rows of ``pulse`` under per-path ``weights``.
+
+    Row ``i`` is ``A_r^T diag(pulse[i] * weights) conj(A_t)``, one small
+    (N_R x paths) @ (paths x N_T) product per tap.  Each tap's product
+    depends only on its own pulse row and the weights, so any subset of rows
+    renders bit for bit as it would within the full grid.  Folding all taps
+    into one (taps x paths) @ (paths x N_R*N_T) product is faster alone but
+    crosses the BLAS threading threshold and slows multi-drop runs.
+    """
+    coeff = pulse * weights
+    return np.matmul(table.a_r.T * coeff[:, None, :], table.a_t.conj(), out=out)
 
 
 def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]:
@@ -385,8 +375,8 @@ def sample_channel(
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError(f"oversampling must be a positive integer, got {oversampling!r}")
     table = _path_table(real, arrays)
-    weights = table.static_scale * table.base_gain
-    grid, n_lo = _assemble_grid(table, weights, spec, int(oversampling))
+    pulse, n_lo = _pulse_matrix(table, spec, int(oversampling))
+    grid = _render_taps(table, pulse, table.static_scale * table.base_gain)
     start, width = _select_window(grid, energy_threshold)
     return SampledChannel(
         taps=grid[start : start + width],

@@ -50,6 +50,14 @@ _STATIC_HEADER = struct.Struct("<4sIIIIdq")
 _DYNAMIC_HEADER = struct.Struct("<4sIIIIdqId")
 
 
+def _write_tensor(path, header: bytes, taps: np.ndarray) -> None:
+    """Header, then the tap buffer itself: no payload copy is made unless
+    the taps are not already contiguous little-endian complex128."""
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(taps, dtype="<c16").data)
+
+
 def write_static_channel(path, channel: SampledChannel) -> None:
     header = _STATIC_HEADER.pack(
         MAGIC,
@@ -60,8 +68,7 @@ def write_static_channel(path, channel: SampledChannel) -> None:
         channel.sample_period,
         channel.tap_offset,
     )
-    payload = np.ascontiguousarray(channel.taps, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write_tensor(path, header, channel.taps)
 
 
 def _check_magic(blob: bytes, path) -> int:
@@ -102,8 +109,7 @@ def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
         n_snap,
         channel.snapshot_period,
     )
-    payload = np.ascontiguousarray(channel.snapshots, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write_tensor(path, header, channel.snapshots)
 
 
 def read_dynamic_channel(path) -> TimeVariantChannel:

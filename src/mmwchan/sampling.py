@@ -105,32 +105,35 @@ def ar1_complex_sequence(
     n: int,
     variance: float = 1.0,
     rng: np.random.Generator | None = None,
-    initial: complex | None = None,
+    initial: complex | np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary complex AR(1) sequence with lag-k correlation ``rho**k``.
 
     ``x[k] = rho * x[k-1] + sqrt(1 - rho**2) * w[k]`` with CN(0, variance)
     innovations.  ``initial`` pins ``x[0]`` (used when evolving an existing
-    gain); otherwise ``x[0]`` is drawn from the stationary distribution.  At
-    ``rho == 1`` the sequence is frozen at ``x[0]`` and no innovations are
-    consumed.
+    gain); otherwise ``x[0]`` is drawn from the stationary distribution.  An
+    array ``initial`` of shape ``(P,)`` evolves P independent sequences,
+    returned as ``(n, P)``; their innovations are drawn sequence by sequence,
+    so sequence ``p`` sees exactly the variates of the ``p``-th of P scalar
+    calls.  At ``rho == 1`` the sequence is frozen at ``x[0]`` and no
+    innovations are consumed.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"AR(1) coefficient must lie in [0, 1], got {rho!r}")
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n!r}")
-    x = np.empty(n, dtype=np.complex128)
     if initial is None:
-        x[0] = np.sqrt(variance) * sample_complex_gain(rng)
-    else:
-        x[0] = initial
+        initial = np.sqrt(variance) * sample_complex_gain(rng)
+    x = np.empty((n,) + np.shape(initial), dtype=np.complex128)
+    x[0] = initial
     if n == 1:
         return x
     innovation_scale = np.sqrt(variance) * np.sqrt(1.0 - rho * rho)
     if innovation_scale == 0.0:
         x[1:] = x[0]
         return x
-    w = sample_complex_gain(rng, size=n - 1)
+    w = np.stack([sample_complex_gain(rng, size=n - 1) for _ in range(x[0].size)], -1)
+    w = w.reshape(x[1:].shape)
     for k in range(1, n):
         x[k] = rho * x[k - 1] + innovation_scale * w[k - 1]
     return x

@@ -3,8 +3,14 @@
 Per-path gains follow a stationary AR(1) process seeded at the static
 realization's draw, each path additionally rotating at its geometric
 Doppler frequency.  The direct path keeps unit gain magnitude; only its
-phase wanders.  Snapshot 0 reproduces the static channel exactly, and so
-does every snapshot in the static limit (zero velocity, coefficient 1).
+phase wanders.
+
+Snapshots are rendered by the per-tap products of :mod:`mmwchan.channel`
+with per-snapshot weights.  Snapshot 0 goes through the same full-grid
+render as static sampling and fixes the tap window; later snapshots render
+only the window's rows.  Each tap's product sees the same inputs either
+way, so snapshot 0 reproduces the static channel bit for bit, and so does
+every snapshot in the static limit (zero velocity, coefficient 1).
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayPair
-from .channel import ChannelRealization, _assemble_grid, _path_table, _select_window
+from .channel import (
+    ChannelRealization,
+    _path_table,
+    _pulse_matrix,
+    _render_taps,
+    _select_window,
+)
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
 from .sampling import ar1_complex_sequence
@@ -114,11 +126,7 @@ def evolve_channel(
     table = _path_table(real, arrays)
     n_snap = mob.n_snapshots
 
-    gains = np.empty((n_snap, table.n_paths), dtype=np.complex128)
-    for p in range(table.n_paths):
-        gains[:, p] = ar1_complex_sequence(
-            rho, n_snap, 1.0, rng, initial=table.base_gain[p]
-        )
+    gains = ar1_complex_sequence(rho, n_snap, 1.0, rng, initial=table.base_gain)
     if table.los_index is not None and rho < 1.0 and n_snap > 1:
         # Direct path: phase-only aging.  Snapshot 0 is exp(j*phase), already
         # on the unit circle; later samples are projected back onto it.  At
@@ -127,28 +135,19 @@ def evolve_channel(
         gains[1:, table.los_index] = z / np.abs(z)
 
     if mob.v_rx != 0.0 or mob.v_tx != 0.0:
-        path_angles = RayAngles(
-            aod_azimuth=table.aod_azimuth,
-            aod_elevation=table.aod_elevation,
-            aoa_azimuth=table.aoa_azimuth,
-            aoa_elevation=table.aoa_elevation,
-        )
-        nu = doppler_shift(path_angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
+        nu = doppler_shift(table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
         t = np.arange(n_snap) * mob.snapshot_period
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
+    weights = table.static_scale * gains
 
-    snapshots = None
-    start = width = 0
-    for k in range(n_snap):
-        grid, n_lo = _assemble_grid(
-            table, table.static_scale * gains[k], spec, int(oversampling)
-        )
-        if k == 0:
-            start, width = _select_window(grid, energy_threshold)
-            snapshots = np.empty(
-                (n_snap, width) + grid.shape[1:], dtype=np.complex128
-            )
-        snapshots[k] = grid[start : start + width]
+    pulse, n_lo = _pulse_matrix(table, spec, int(oversampling))
+    grid = _render_taps(table, pulse, weights[0])
+    start, width = _select_window(grid, energy_threshold)
+    snapshots = np.empty((n_snap, width) + grid.shape[1:], dtype=np.complex128)
+    snapshots[0] = grid[start : start + width]
+    window = pulse[start : start + width]
+    for k in range(1, n_snap):
+        _render_taps(table, window, weights[k], out=snapshots[k])
     return TimeVariantChannel(
         snapshots=snapshots,
         sample_period=spec.symbol_period / oversampling,

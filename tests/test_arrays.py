@@ -82,3 +82,27 @@ def test_array_pair_holds_both_ends():
     pair = ArrayPair(tx=PlanarArray(6, 5), rx=PlanarArray(5, 4))
     assert pair.tx.n_elements == 30
     assert pair.rx.n_elements == 20
+
+
+def test_steering_matrix_matches_scalar_calls():
+    # Angle arrays give one response per row, equal to the scalar call.
+    arr = PlanarArray(6, 5)
+    rng = np.random.default_rng(7)
+    az = rng.uniform(-np.pi, np.pi, 40)
+    el = rng.uniform(-np.pi / 2, np.pi / 2, 40)
+    a = steering_vector(arr, az, el, WAVELENGTH)
+    assert a.shape == (40, 30)
+    stacked = np.array([steering_vector(arr, p, q, WAVELENGTH) for p, q in zip(az, el)])
+    np.testing.assert_allclose(a, stacked, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, rtol=1e-12)
+
+
+def test_steering_matrix_broadcasts_angle_shapes():
+    arr = PlanarArray(3, 2)
+    az = np.linspace(-1.0, 1.0, 4)[:, None]
+    el = np.linspace(-0.5, 0.5, 3)[None, :]
+    a = steering_vector(arr, az, el, WAVELENGTH)
+    assert a.shape == (4, 3, 6)
+    np.testing.assert_allclose(
+        a[2, 1], steering_vector(arr, az[2, 0], el[0, 1], WAVELENGTH), rtol=1e-14, atol=0.0
+    )

@@ -124,6 +124,22 @@ def test_ar1_rho_one_freezes_sequence():
     assert probe == rng2.standard_normal()
 
 
+def test_vector_ar1_draws_match_per_path_draws():
+    # The vectorized recursion consumes the stream path by path, exactly as
+    # one scalar sequence per path would.
+    initial = np.exp(1j * np.arange(7.0))
+    got = ar1_complex_sequence(0.8, 16, rng=np.random.default_rng(3), initial=initial)
+    rng = np.random.default_rng(3)
+    want = np.stack(
+        [ar1_complex_sequence(0.8, 16, rng=rng, initial=x0) for x0 in initial], axis=-1
+    )
+    np.testing.assert_array_equal(got, want)
+    frozen_rng = np.random.default_rng(3)
+    frozen = ar1_complex_sequence(1.0, 5, rng=frozen_rng, initial=initial)
+    np.testing.assert_array_equal(frozen, np.broadcast_to(initial, (5, 7)))
+    assert frozen_rng.random() == np.random.default_rng(3).random()
+
+
 def test_ar1_autocorrelation_tracks_rho():
     for rho in (0.5, 0.9, 0.99):
         rng = np.random.default_rng(int(rho * 100))

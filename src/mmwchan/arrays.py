@@ -46,7 +46,7 @@ class ArrayPair:
     rx: PlanarArray
 
 
-def steering_vector(array: PlanarArray, azimuth, elevation, wavelength: float) -> np.ndarray:
+def steering_vector(array: PlanarArray, azimuth, elevation) -> np.ndarray:
     """Unit-norm array response for a plane wave from (azimuth, elevation).
 
     Element ``(m, n)`` contributes the phase
@@ -59,7 +59,6 @@ def steering_vector(array: PlanarArray, azimuth, elevation, wavelength: float) -
     Angles broadcast: arrays of shape ``S`` give responses of shape
     ``S + (n_elements,)``, one row per direction; scalars give ``(n_elements,)``.
     """
-    del wavelength  # cancels against the spacing expressed in wavelengths
     kd = 2.0 * np.pi * array.spacing_wavelengths
     az = np.asarray(azimuth, dtype=float)[..., None]
     el = np.asarray(elevation, dtype=float)[..., None]

@@ -291,10 +291,9 @@ def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
     if los.present:
         amplitude[-1] = np.sqrt(n_rx * n_tx)
     attenuation_db = column("attenuation_db", los.attenuation_db)
-    wavelength = real.wavelength
     return _PathTable(
-        a_r=steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation, wavelength),
-        a_t=steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation, wavelength),
+        a_r=steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation),
+        a_t=steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation),
         static_scale=amplitude * 10.0 ** (attenuation_db / 20.0),
         base_gain=column("gains", np.exp(1j * los.phase), np.complex128),
         tau_rel=column("delays", los.delay) - los.delay,
@@ -313,6 +312,8 @@ def _pulse_matrix(
     returns the matrix and ``n_lo``, the grid index of its first row
     relative to the direct-path delay.
     """
+    if oversampling < 1 or int(oversampling) != oversampling:
+        raise ValueError(f"oversampling must be a positive integer, got {oversampling!r}")
     dt = spec.symbol_period / oversampling
     half_t = spec.truncation_half_length * spec.symbol_period
     starts = np.ceil((table.tau_rel - half_t) / dt).astype(int)
@@ -342,6 +343,8 @@ def _render_taps(
 def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]:
     """Leftmost shortest contiguous tap window keeping >= (1 - threshold)
     of the total energy.  Returns (start index, length)."""
+    if not 0.0 < energy_threshold < 1.0:
+        raise ValueError(f"energy threshold must lie in (0, 1), got {energy_threshold!r}")
     energy = np.einsum("prt,prt->p", grid, grid.conj()).real
     total = float(energy.sum())
     if total <= 0.0:
@@ -370,12 +373,8 @@ def sample_channel(
     every path's truncated pulse support and is then trimmed to the leftmost
     shortest window holding at least ``1 - energy_threshold`` of the energy.
     """
-    if not 0.0 < energy_threshold < 1.0:
-        raise ValueError(f"energy threshold must lie in (0, 1), got {energy_threshold!r}")
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError(f"oversampling must be a positive integer, got {oversampling!r}")
     table = _path_table(real, arrays)
-    pulse, n_lo = _pulse_matrix(table, spec, int(oversampling))
+    pulse, n_lo = _pulse_matrix(table, spec, oversampling)
     grid = _render_taps(table, pulse, table.static_scale * table.base_gain)
     start, width = _select_window(grid, energy_threshold)
     return SampledChannel(

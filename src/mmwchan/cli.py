@@ -18,7 +18,7 @@ from .io import (
     write_static_channel,
     write_trial_log,
 )
-from .link import LinkConfig, run_cdf_experiment
+from .link import run_cdf_experiment
 from .sampling import RngStream
 from .timevariant import evolve_channel
 
@@ -129,17 +129,16 @@ def cmd_generate_dynamic(args) -> int:
 
 def cmd_eval_cdf(args) -> int:
     config = _load_config(args)
-    link = LinkConfig.from_scenario(config)
-    result = run_cdf_experiment(link, n_jobs=args.jobs)
+    result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)
     if args.trial_log is not None:
         run_info = {
             "command": "eval-cdf",
             "seed": config.seed,
-            "n_trials": link.n_trials,
-            "n_streams": link.n_streams,
-            "tx_power_w": link.tx_power,
-            "noise_variance_w": link.noise_variance,
+            "n_trials": config.n_trials,
+            "n_streams": config.n_streams,
+            "tx_power_w": config.tx_power_w,
+            "noise_variance_w": config.noise_variance(),
             "config": asdict(config),
         }
         write_trial_log(args.trial_log, run_info, result.trials)

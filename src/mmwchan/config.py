@@ -8,6 +8,7 @@ correlation).
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -121,89 +122,83 @@ class ScenarioConfig:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise ValueError naming the offending key on any bad setting."""
-        def positive(key):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"'{key}' must be positive, got {getattr(self, key)!r}")
-
-        if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"'scenario' must be one of {', '.join(SCENARIOS)}, got {self.scenario!r}"
-            )
-        for key in (
-            "carrier_frequency_hz",
-            "distance_m",
-            "tx_height_m",
-            "rx_height_m",
-            "spacing_wavelengths",
-            "cluster_rate",
-            "max_distance_factor",
-            "bandwidth_hz",
-            "tx_power_w",
-            "noise_temperature_k",
-        ):
-            positive(key)
-        for key in ("rx_horizontal", "rx_vertical", "tx_horizontal", "tx_vertical"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"'{key}' must be >= 1, got {getattr(self, key)!r}")
-        if self.angle_spread_deg < 0:
-            raise ValueError(
-                f"'angle_spread_deg' must be nonnegative, got {self.angle_spread_deg!r}"
-            )
-        if self.scattered_pathloss not in ("nlos", "follow-los"):
-            raise ValueError(
-                f"'scattered_pathloss' must be 'nlos' or 'follow-los', "
-                f"got {self.scattered_pathloss!r}"
-            )
-        if not 0.0 < self.rolloff <= 1.0:
-            raise ValueError(f"'rolloff' must lie in (0, 1], got {self.rolloff!r}")
-        if self.truncation_half_length < 1:
-            raise ValueError(
-                f"'truncation_half_length' must be >= 1, "
-                f"got {self.truncation_half_length!r}"
-            )
-        if self.oversampling < 1:
-            raise ValueError(f"'oversampling' must be >= 1, got {self.oversampling!r}")
-        if not 0.0 < self.energy_threshold < 1.0:
-            raise ValueError(
-                f"'energy_threshold' must lie in (0, 1), got {self.energy_threshold!r}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"'seed' must be nonnegative, got {self.seed!r}")
-        if self.gain_correlation is not None and not 0.0 <= self.gain_correlation <= 1.0:
-            raise ValueError(
-                f"'gain_correlation' must lie in [0, 1] or auto, "
-                f"got {self.gain_correlation!r}"
-            )
-        if self.snapshot_period_s is not None and self.snapshot_period_s <= 0:
-            raise ValueError(
-                f"'snapshot_period_s' must be positive or auto, "
-                f"got {self.snapshot_period_s!r}"
-            )
-        if self.n_snapshots < 1:
-            raise ValueError(f"'n_snapshots' must be >= 1, got {self.n_snapshots!r}")
+        """Raise ValueError naming the offending key on any bad setting:
+        a value outside its set in :data:`_ADMISSIBLE`, a float that is not
+        finite, or more streams than the smaller array has elements."""
+        for f in fields(self):
+            key, value, allowed = f.name, getattr(self, f.name), _ADMISSIBLE[f.name]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"'{key}' must be finite, got {value!r}")
+            if value not in allowed:
+                what = f"in {allowed}" if isinstance(allowed, _Interval) else f"one of {allowed}"
+                raise ValueError(f"'{key}' must be {what}, got {value!r}")
         limit = min(self.rx_horizontal * self.rx_vertical, self.tx_horizontal * self.tx_vertical)
-        if not 1 <= self.n_streams <= limit:
+        if self.n_streams > limit:
             raise ValueError(
                 f"'n_streams' must lie in [1, {limit}] for these arrays, "
                 f"got {self.n_streams!r}"
             )
-        if self.noise_variance_w is not None and self.noise_variance_w <= 0:
-            raise ValueError(
-                f"'noise_variance_w' must be positive or auto, "
-                f"got {self.noise_variance_w!r}"
-            )
-        if self.n_trials < 1:
-            raise ValueError(f"'n_trials' must be >= 1, got {self.n_trials!r}")
-        if self.se_normalization not in ("excess-bandwidth", "none"):
-            raise ValueError(
-                f"'se_normalization' must be 'excess-bandwidth' or 'none', "
-                f"got {self.se_normalization!r}"
-            )
 
 
-def _field_types() -> dict[str, object]:
-    return typing.get_type_hints(ScenarioConfig)
+@dataclass(frozen=True)
+class _Interval:
+    """Numeric range with open ``(`` or closed ``[`` ends; ``auto`` also
+    admits ``None``.  NaN lies in no interval."""
+
+    low: float
+    high: float
+    ends: str = "()"
+    auto: bool = False
+
+    def __contains__(self, value) -> bool:
+        if value is None:
+            return self.auto
+        above = self.low < value if self.ends[0] == "(" else self.low <= value
+        below = value < self.high if self.ends[1] == ")" else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        text = f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+        return text + " or auto" if self.auto else text
+
+
+_INF = math.inf
+
+#: Admissible values of every configuration key: a tuple of choices or an
+#: interval.  Each :class:`ScenarioConfig` field must have an entry.
+_ADMISSIBLE: dict[str, object] = {
+    "scenario": tuple(SCENARIOS),
+    "scattered_pathloss": ("nlos", "follow-los"),
+    "se_normalization": ("excess-bandwidth", "none"),
+    "shadow_per_cluster": (False, True),
+    **dict.fromkeys(
+        (
+            "carrier_frequency_hz", "distance_m", "tx_height_m", "rx_height_m",
+            "spacing_wavelengths", "cluster_rate", "max_distance_factor",
+            "bandwidth_hz", "tx_power_w", "noise_temperature_k",
+        ),
+        _Interval(0.0, _INF),
+    ),
+    **dict.fromkeys(
+        (
+            "rx_horizontal", "rx_vertical", "tx_horizontal", "tx_vertical",
+            "truncation_half_length", "oversampling", "n_snapshots", "n_streams",
+            "n_trials",
+        ),
+        _Interval(1, _INF, "[)"),
+    ),
+    **dict.fromkeys(
+        ("rx_orientation_rad", "v_rx_mps", "v_tx_mps", "noise_figure_db"),
+        _Interval(-_INF, _INF),
+    ),
+    **dict.fromkeys(("angle_spread_deg", "seed"), _Interval(0, _INF, "[)")),
+    "rolloff": _Interval(0.0, 1.0, "(]"),
+    "energy_threshold": _Interval(0.0, 1.0),
+    "gain_correlation": _Interval(0.0, 1.0, "[]", auto=True),
+    **dict.fromkeys(
+        ("snapshot_period_s", "noise_variance_w"), _Interval(0.0, _INF, auto=True)
+    ),
+}
 
 
 def _convert(key: str, text: str, target) -> object:
@@ -238,10 +233,10 @@ def parse_config(path=None, overrides=None) -> ScenarioConfig:
 
     ``path`` points to a flat ``key = value`` text file ('#' starts a
     comment); ``overrides`` maps keys to value strings and wins over the
-    file.  Unknown keys and malformed values raise ValueError naming the
-    key; omitted keys take their defaults.
+    file.  Unknown keys, keys repeated in the file and malformed values
+    raise ValueError naming the key; omitted keys take their defaults.
     """
-    known = _field_types()
+    known = typing.get_type_hints(ScenarioConfig)
     raw: dict[str, str] = {}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -256,6 +251,8 @@ def parse_config(path=None, overrides=None) -> ScenarioConfig:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: duplicate configuration key '{key}'")
             raw[key] = value.strip()
     for key, value in (overrides or {}).items():
         if key not in known:

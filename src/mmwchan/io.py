@@ -15,6 +15,8 @@ time order.  The version field makes files self-describing.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -72,28 +74,43 @@ def write_static_channel(path, channel: SampledChannel) -> None:
 
 
 def _check_magic(blob: bytes, path) -> int:
-    if len(blob) < _STATIC_HEADER.size or blob[:4] != MAGIC:
+    """Version field of a tensor file's leading bytes, after the magic."""
+    if len(blob) < 8 or blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a tap-tensor file (bad magic)")
     return int.from_bytes(blob[4:8], "little")
 
 
+def _read_tensor(path, version: int, kind: str) -> tuple[tuple, np.ndarray]:
+    """Header fields after magic and version, and the taps, of a tensor
+    file that must be ``version`` (``kind`` names it in errors).
+
+    The payload size is checked against the header before the payload is
+    read straight into the returned array.  Any mismatch raises ValueError
+    naming the file.
+    """
+    header = _STATIC_HEADER if version == STATIC_VERSION else _DYNAMIC_HEADER
+    with open(path, "rb") as f:
+        blob = f.read(header.size)
+        found = _check_magic(blob, path)
+        if found != version:
+            raise ValueError(f"{path}: version {found} is not a {kind} (expected {version})")
+        if len(blob) < header.size:
+            raise ValueError(f"{path}: header truncated to {len(blob)} of {header.size} bytes")
+        values = header.unpack(blob)[2:]
+        n_rx, n_tx, n_taps = values[:3]
+        shape = (n_taps, n_rx, n_tx)
+        if version == DYNAMIC_VERSION:
+            shape = (values[5],) + shape
+        count = math.prod(shape)
+        if os.fstat(f.fileno()).st_size != header.size + 16 * count:
+            raise ValueError(f"{path}: payload size does not match the header")
+        taps = np.fromfile(f, dtype="<c16", count=count)
+    return values, taps.reshape(shape)
+
+
 def read_static_channel(path) -> SampledChannel:
-    blob = Path(path).read_bytes()
-    version = _check_magic(blob, path)
-    if version != STATIC_VERSION:
-        raise ValueError(
-            f"{path}: version {version} is not a static tensor "
-            f"(expected {STATIC_VERSION})"
-        )
-    _, _, n_rx, n_tx, n_taps, period, offset = _STATIC_HEADER.unpack_from(blob)
-    taps = np.frombuffer(blob, dtype="<c16", offset=_STATIC_HEADER.size)
-    if taps.size != n_taps * n_rx * n_tx:
-        raise ValueError(f"{path}: payload size does not match the header")
-    return SampledChannel(
-        taps=taps.reshape(n_taps, n_rx, n_tx).copy(),
-        sample_period=period,
-        tap_offset=offset,
-    )
+    (_, _, _, period, offset), taps = _read_tensor(path, STATIC_VERSION, "static tensor")
+    return SampledChannel(taps=taps, sample_period=period, tap_offset=offset)
 
 
 def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
@@ -113,21 +130,11 @@ def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
 
 
 def read_dynamic_channel(path) -> TimeVariantChannel:
-    blob = Path(path).read_bytes()
-    version = _check_magic(blob, path)
-    if version != DYNAMIC_VERSION:
-        raise ValueError(
-            f"{path}: version {version} is not a snapshot sequence "
-            f"(expected {DYNAMIC_VERSION})"
-        )
-    (_, _, n_rx, n_tx, n_taps, period, offset, n_snap, snap_period) = (
-        _DYNAMIC_HEADER.unpack_from(blob)
+    (_, _, _, period, offset, _, snap_period), snapshots = _read_tensor(
+        path, DYNAMIC_VERSION, "snapshot sequence"
     )
-    taps = np.frombuffer(blob, dtype="<c16", offset=_DYNAMIC_HEADER.size)
-    if taps.size != n_snap * n_taps * n_rx * n_tx:
-        raise ValueError(f"{path}: payload size does not match the header")
     return TimeVariantChannel(
-        snapshots=taps.reshape(n_snap, n_taps, n_rx, n_tx).copy(),
+        snapshots=snapshots,
         sample_period=period,
         tap_offset=offset,
         snapshot_period=snap_period,
@@ -136,7 +143,8 @@ def read_dynamic_channel(path) -> TimeVariantChannel:
 
 def read_channel(path):
     """Read either tensor flavor, dispatching on the header version."""
-    version = _check_magic(Path(path).read_bytes(), path)
+    with open(path, "rb") as f:
+        version = _check_magic(f.read(8), path)
     if version == STATIC_VERSION:
         return read_static_channel(path)
     if version == DYNAMIC_VERSION:
@@ -270,8 +278,11 @@ def write_cdf_csv(path, spectral_efficiency, cdf) -> None:
 
 def read_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != "spectral_efficiency_bits_s_hz,cdf":
-        raise ValueError(f"{path}: unexpected CSV header {rows[0]!r}")
+    header = rows[0] if rows else ""
+    if header != "spectral_efficiency_bits_s_hz,cdf":
+        raise ValueError(f"{path}: unexpected CSV header {header!r}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
     data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
     return data[:, 0], data[:, 1]
 

@@ -261,42 +261,37 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     return max(float(logdet) / np.log(2.0), 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkConfig:
-    """Everything needed to run rate trials on a scenario."""
+    """Read-only link view of a :class:`ScenarioConfig`, which the library
+    takes directly.  Kept only because the benchmark worker
+    ``perfbench/worker.py`` imports it; every value and check is the
+    scenario's."""
 
     scenario: "ScenarioConfig"
-    n_streams: int
-    tx_power: float
-    noise_variance: float
-    n_trials: int
 
     @classmethod
     def from_scenario(cls, config: "ScenarioConfig") -> "LinkConfig":
-        return cls(
-            scenario=config,
-            n_streams=config.n_streams,
-            tx_power=config.tx_power_w,
-            noise_variance=config.noise_variance(),
-            n_trials=config.n_trials,
-        )
+        return cls(config)
+
+    @property
+    def n_streams(self) -> int:
+        return self.scenario.n_streams
+
+    @property
+    def tx_power(self) -> float:
+        return self.scenario.tx_power_w
+
+    @property
+    def noise_variance(self) -> float:
+        return self.scenario.noise_variance()
+
+    @property
+    def n_trials(self) -> int:
+        return self.scenario.n_trials
 
     def validate(self) -> None:
-        arrays = self.scenario.arrays()
-        limit = min(arrays.rx.n_elements, arrays.tx.n_elements)
-        if not 1 <= self.n_streams <= limit:
-            raise ValueError(
-                f"n_streams must lie in [1, {limit}] for these arrays, "
-                f"got {self.n_streams!r}"
-            )
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power must be positive, got {self.tx_power!r}")
-        if self.noise_variance <= 0:
-            raise ValueError(
-                f"noise_variance must be positive, got {self.noise_variance!r}"
-            )
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials!r}")
+        self.scenario.validate()
 
 
 @dataclass(frozen=True)
@@ -321,22 +316,21 @@ class CdfResult:
     trials: list[LinkResult] = field(default_factory=list)
 
 
-def _single_trial(link: LinkConfig, trial: int) -> LinkResult:
+def _single_trial(config: "ScenarioConfig", trial: int) -> LinkResult:
     """Run drop ``trial`` on its own substream; independent of run order."""
-    cfg = link.scenario
-    rng = RngStream(cfg.seed, trial).generator()
-    real = realize_channel(cfg, rng)
+    rng = RngStream(config.seed, trial).generator()
+    real = realize_channel(config, rng)
     # Link evaluation is symbol-spaced regardless of the inspection
     # oversampling configured for tensor export.
     channel = sample_channel(
-        real, cfg.arrays(), cfg.pulse(), cfg.energy_threshold, oversampling=1
+        real, config.arrays(), config.pulse(), config.energy_threshold, oversampling=1
     )
-    pair = design_beamformers(channel, link.n_streams)
-    model = build_stacked_model(channel, pair, link.noise_variance)
-    estimator = lmmse_operator(model, link.tx_power)
-    rate = achievable_rate(model, estimator, link.tx_power)
-    if cfg.se_normalization == "excess-bandwidth":
-        se = rate / (1.0 + cfg.rolloff)
+    pair = design_beamformers(channel, config.n_streams)
+    model = build_stacked_model(channel, pair, config.noise_variance())
+    estimator = lmmse_operator(model, config.tx_power_w)
+    rate = achievable_rate(model, estimator, config.tx_power_w)
+    if config.se_normalization == "excess-bandwidth":
+        se = rate / (1.0 + config.rolloff)
     else:
         se = rate
     return LinkResult(
@@ -350,20 +344,20 @@ def _single_trial(link: LinkConfig, trial: int) -> LinkResult:
     )
 
 
-def run_cdf_experiment(link: LinkConfig, n_jobs: int = 1) -> CdfResult:
-    """Monte-Carlo rate CDF over ``n_trials`` independent drops.
+def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
+    """Monte-Carlo rate CDF over ``config.n_trials`` independent drops.
 
     Drop k always runs on substream k of the configured seed, so the result
     is byte-identical for any ``n_jobs``.
     """
-    link.validate()
-    trials = range(link.n_trials)
+    config.validate()
+    trials = range(config.n_trials)
     if n_jobs == 1:
-        results = [_single_trial(link, k) for k in trials]
+        results = [_single_trial(config, k) for k in trials]
     else:
-        chunk = max(1, link.n_trials // (4 * n_jobs))
+        chunk = max(1, config.n_trials // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(partial(_single_trial, link), trials, chunksize=chunk))
+            results = list(pool.map(partial(_single_trial, config), trials, chunksize=chunk))
     se = np.sort(np.array([r.spectral_efficiency for r in results]))
-    cdf = np.arange(1, link.n_trials + 1) / link.n_trials
+    cdf = np.arange(1, config.n_trials + 1) / config.n_trials
     return CdfResult(spectral_efficiency=se, cdf=cdf, trials=results)

@@ -140,7 +140,7 @@ def evolve_channel(
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
     weights = table.static_scale * gains
 
-    pulse, n_lo = _pulse_matrix(table, spec, int(oversampling))
+    pulse, n_lo = _pulse_matrix(table, spec, oversampling)
     grid = _render_taps(table, pulse, weights[0])
     start, width = _select_window(grid, energy_threshold)
     snapshots = np.empty((n_snap, width) + grid.shape[1:], dtype=np.complex128)

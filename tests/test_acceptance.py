@@ -15,7 +15,6 @@ import scipy.stats
 from conftest import forward_stack_residual, random_stacked_model
 from mmwchan import (
     ArrayPair,
-    LinkConfig,
     MobilitySpec,
     PlanarArray,
     PulseSpec,
@@ -304,7 +303,7 @@ def test_criterion_8_lmmse_rate():
 
 def _median_se(**overrides) -> float:
     config = ScenarioConfig(seed=0, n_trials=500, **overrides)
-    result = run_cdf_experiment(LinkConfig.from_scenario(config))
+    result = run_cdf_experiment(config)
     return float(np.median(result.spectral_efficiency))
 
 

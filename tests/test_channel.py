@@ -79,7 +79,6 @@ def delta_realization(
 
 
 def expected_outer(real, arrays, use_los=False):
-    wl = real.wavelength
     if use_los:
         ang = real.los.angles
         az_r, el_r = ang.aoa_azimuth, ang.aoa_elevation
@@ -88,8 +87,8 @@ def expected_outer(real, arrays, use_los=False):
         c = real.clusters[0]
         az_r, el_r = c.aoa_azimuth[0], c.aoa_elevation[0]
         az_t, el_t = c.aod_azimuth[0], c.aod_elevation[0]
-    a_r = steering_vector(arrays.rx, az_r, el_r, wl)
-    a_t = steering_vector(arrays.tx, az_t, el_t, wl)
+    a_r = steering_vector(arrays.rx, az_r, el_r)
+    a_t = steering_vector(arrays.tx, az_t, el_t)
     return np.outer(a_r, a_t.conj())
 
 

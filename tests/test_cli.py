@@ -156,6 +156,8 @@ def test_invalid_value_exits_with_key_name(tmp_path):
             "generate-static", "--set", "distance_m=-5",
             "--output", tmp_path / "x.mmwc",
         )
+    with pytest.raises(SystemExit, match="configuration error: 'distance_m'"):
+        run_cli("eval-cdf", "--set", "distance_m=nan", "--output", tmp_path / "x.csv")
 
 
 def test_missing_subcommand_is_usage_error():

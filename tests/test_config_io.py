@@ -99,6 +99,13 @@ def test_parse_config_bad_line_reports_location(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("distance_m = 10\nseed = 1\ndistance_m = 20\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:3: .*'distance_m'"):
+        parse_config(path)
+
+
 def test_parse_config_validates_result():
     with pytest.raises(ValueError, match="scenario"):
         parse_config(None, {"scenario": "nowhere"})
@@ -282,6 +289,14 @@ def test_cdf_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope,cdf\n1.0,0.5\n")
     with pytest.raises(ValueError, match="header"):
+        read_cdf_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "spectral_efficiency_bits_s_hz,cdf\n"])
+def test_cdf_csv_without_rows_is_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty.csv"):
         read_cdf_csv(path)
 
 

@@ -261,6 +261,10 @@ def test_link_config_from_scenario_uses_thermal_noise():
     assert link.n_streams == 4
     assert link.tx_power == 1.0
     assert link.n_trials == 500
+    # A read-only view: no link value can drift from the scenario.
+    assert link.scenario is config
+    with pytest.raises(AttributeError):
+        link.n_streams = 50
 
 
 def test_link_config_explicit_noise_override():
@@ -270,32 +274,28 @@ def test_link_config_explicit_noise_override():
 
 
 def test_link_config_validation():
-    config = ScenarioConfig()
-    link = LinkConfig.from_scenario(config)
-    link.n_streams = 50
-    with pytest.raises(ValueError):
-        link.validate()
+    with pytest.raises(ValueError, match="n_streams"):
+        run_cdf_experiment(ScenarioConfig(n_streams=50))
 
 
 def test_single_trial_is_deterministic():
     config = ScenarioConfig(seed=3, distance_m=30.0, n_trials=4)
-    link = LinkConfig.from_scenario(config)
-    a = _single_trial(link, 2)
-    b = _single_trial(link, 2)
+    a = _single_trial(config, 2)
+    b = _single_trial(config, 2)
     assert a.rate == b.rate
     assert a.spectral_efficiency == b.spectral_efficiency
     assert a.trial_seed == 2
     assert a.n_taps >= 1
     assert 0 <= a.selected_tap < a.n_taps
-    c = _single_trial(link, 3)
+    c = _single_trial(config, 3)
     assert c.rate != a.rate
 
 
 def test_spectral_efficiency_normalization_modes():
     excess = ScenarioConfig(seed=1, se_normalization="excess-bandwidth")
     plain = ScenarioConfig(seed=1, se_normalization="none")
-    r_excess = _single_trial(LinkConfig.from_scenario(excess), 0)
-    r_plain = _single_trial(LinkConfig.from_scenario(plain), 0)
+    r_excess = _single_trial(excess, 0)
+    r_plain = _single_trial(plain, 0)
     assert r_excess.rate == r_plain.rate
     assert r_excess.spectral_efficiency == pytest.approx(
         r_excess.rate / 1.22, rel=1e-12
@@ -305,7 +305,7 @@ def test_spectral_efficiency_normalization_modes():
 
 def test_cdf_experiment_shape_and_order():
     config = ScenarioConfig(seed=7, n_trials=8)
-    result = run_cdf_experiment(LinkConfig.from_scenario(config))
+    result = run_cdf_experiment(config)
     assert result.spectral_efficiency.shape == (8,)
     assert np.all(np.diff(result.spectral_efficiency) >= 0)
     np.testing.assert_allclose(result.cdf, np.arange(1, 9) / 8.0)
@@ -315,9 +315,8 @@ def test_cdf_experiment_shape_and_order():
 
 def test_cdf_experiment_parallel_matches_serial():
     config = ScenarioConfig(seed=7, n_trials=8)
-    link = LinkConfig.from_scenario(config)
-    serial = run_cdf_experiment(link, n_jobs=1)
-    parallel = run_cdf_experiment(link, n_jobs=2)
+    serial = run_cdf_experiment(config, n_jobs=1)
+    parallel = run_cdf_experiment(config, n_jobs=2)
     np.testing.assert_array_equal(
         serial.spectral_efficiency, parallel.spectral_efficiency
     )

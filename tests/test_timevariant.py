@@ -203,3 +203,22 @@ def test_evolution_is_reproducible():
     b = evolve_channel(real, config.arrays(), config.pulse(), mob,
                        RngStream(8, 1).generator())
     np.testing.assert_array_equal(a.snapshots, b.snapshots)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"oversampling": 1.5}, "oversampling"),
+        ({"oversampling": 0}, "oversampling"),
+        ({"energy_threshold": 2.0}, "energy threshold"),
+    ],
+)
+def test_evolve_checks_render_arguments(bad, message):
+    # The same checks as sample_channel: a fractional factor would render
+    # on one grid and report another, and a threshold >= 1 keeps one tap.
+    real = delta_realization([0.0], [-80.0])
+    mob = MobilitySpec(v_rx=10.0, n_snapshots=3)
+    with pytest.raises(ValueError, match=message):
+        evolve_channel(
+            real, small_arrays(), dyadic_pulse(), mob, np.random.default_rng(0), **bad
+        )

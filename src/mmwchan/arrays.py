@@ -28,9 +28,9 @@ class PlanarArray:
                 f"array needs at least one element per axis, got "
                 f"{self.horizontal}x{self.vertical}"
             )
-        if self.spacing_wavelengths <= 0:
+        if not 0.0 < self.spacing_wavelengths < np.inf:
             raise ValueError(
-                f"element spacing must be positive, got {self.spacing_wavelengths!r}"
+                f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths!r}"
             )
 
     @property

@@ -350,13 +350,17 @@ def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]
     if total <= 0.0:
         return 0, grid.shape[0]
     target = (1.0 - energy_threshold) * total
-    csum = np.concatenate(([0.0], np.cumsum(energy)))
-    for width in range(1, grid.shape[0] + 1):
-        sums = csum[width:] - csum[:-width]
-        hits = sums >= target
-        if hits.any():
-            return int(np.argmax(hits)), width
-    return 0, grid.shape[0]
+    csum = np.concatenate(([0.0], np.cumsum(energy))).tolist()
+    # Two pointers: window sums csum[stop] - csum[start] never fall as the end
+    # grows or the start drops, so the first shortest window is the leftmost.
+    best = (0, grid.shape[0])
+    start = 0
+    for stop in range(1, len(csum)):
+        while start + 1 < stop and csum[stop] - csum[start + 1] >= target:
+            start += 1
+        if stop - start < best[1] and csum[stop] - csum[start] >= target:
+            best = (start, stop - start)
+    return best
 
 
 def sample_channel(

@@ -159,27 +159,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_static = sub.add_parser(
-        "generate-static", help="draw one drop and write its tap tensor"
-    )
-    _add_config_arguments(p_static)
-    p_static.add_argument("--output", type=Path, required=True, help="binary tensor path")
-    p_static.add_argument(
-        "--metadata", type=Path, default=None,
-        help="sidecar JSON path (default: output with .json suffix)",
-    )
-    p_static.set_defaults(handler=cmd_generate_static)
-
-    p_dynamic = sub.add_parser(
-        "generate-dynamic", help="draw one drop and write a snapshot sequence"
-    )
-    _add_config_arguments(p_dynamic)
-    p_dynamic.add_argument("--output", type=Path, required=True, help="binary tensor path")
-    p_dynamic.add_argument(
-        "--metadata", type=Path, default=None,
-        help="sidecar JSON path (default: output with .json suffix)",
-    )
-    p_dynamic.set_defaults(handler=cmd_generate_dynamic)
+    for name, handler, what in (
+        ("generate-static", cmd_generate_static, "its tap tensor"),
+        ("generate-dynamic", cmd_generate_dynamic, "a snapshot sequence"),
+    ):
+        p_gen = sub.add_parser(name, help=f"draw one drop and write {what}")
+        _add_config_arguments(p_gen)
+        p_gen.add_argument("--output", type=Path, required=True, help="binary tensor path")
+        p_gen.add_argument(
+            "--metadata", type=Path, default=None,
+            help="sidecar JSON path (default: output with .json suffix)",
+        )
+        p_gen.set_defaults(handler=handler)
 
     p_cdf = sub.add_parser(
         "eval-cdf", help="Monte-Carlo spectral-efficiency CDF over many drops"

@@ -277,13 +277,19 @@ def write_cdf_csv(path, spectral_efficiency, cdf) -> None:
 
 
 def read_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = Path(path).read_text().strip().splitlines()
+    rows = Path(path).read_text().rstrip().splitlines()
     header = rows[0] if rows else ""
     if header != "spectral_efficiency_bits_s_hz,cdf":
         raise ValueError(f"{path}: unexpected CSV header {header!r}")
     if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    data = np.empty((len(rows) - 1, 2))
+    for i, row in enumerate(rows[1:]):
+        try:
+            se, level = row.split(",")
+            data[i] = float(se), float(level)
+        except ValueError as err:
+            raise ValueError(f"{path}:{i + 2}: {err}") from None
     return data[:, 0], data[:, 1]
 
 

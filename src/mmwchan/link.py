@@ -100,18 +100,12 @@ class StackedModel:
     def interference_signatures(self) -> np.ndarray:
         """A_I: (M P, M (2P-2)); column block for offset m is G(j - m)."""
         p, m = self.n_taps, self.n_streams
-        G = self.projected_taps
-        blocks = []
-        for offset in (*range(-(p - 1), 0), *range(1, p)):
-            col = np.zeros((p * m, m), dtype=np.complex128)
-            for j in range(p):
-                k = j - offset
-                if 0 <= k < p:
-                    col[j * m : (j + 1) * m] = G[k]
-            blocks.append(col)
-        if not blocks:
-            return np.zeros((p * m, 0), dtype=np.complex128)
-        return np.hstack(blocks)
+        offsets = (*range(-(p - 1), 0), *range(1, p))
+        out = np.zeros((p, m, len(offsets), m), dtype=np.complex128)
+        for col, offset in enumerate(offsets):
+            rows = slice(max(offset, 0), min(p + offset, p))
+            out[rows, :, col] = self.projected_taps[rows.start - offset : rows.stop - offset]
+        return out.reshape(p * m, len(offsets) * m)
 
     @property
     def noise_map(self) -> np.ndarray:
@@ -154,17 +148,12 @@ def build_stacked_model(
     beamformers: BeamformerPair,
     noise_variance: float,
 ) -> StackedModel:
-    """Project every tap through the beamformers."""
+    """Project every tap through the beamformers: ``G(l) = D^H H(l) Q``."""
     if noise_variance <= 0:
         raise ValueError(f"noise variance must be positive, got {noise_variance!r}")
-    G = np.einsum(
-        "ra,prt,tb->pab",
-        beamformers.combiner.conj(),
-        channel.taps,
-        beamformers.precoder,
-    )
+    G = beamformers.combiner.conj().T @ channel.taps @ beamformers.precoder
     return StackedModel(
-        projected_taps=np.ascontiguousarray(G),
+        projected_taps=G,
         combiner=beamformers.combiner,
         noise_variance=noise_variance,
     )
@@ -172,11 +161,15 @@ def build_stacked_model(
 
 def _lag_gram(G: np.ndarray) -> np.ndarray:
     """Block lags R(d) = sum_k G(k) G(k-d)^H for d = -(P-1) .. P-1,
-    returned as (2P-1, M, M) with lag d at index P-1+d."""
+    returned as (2P-1, M, M) with lag d at index P-1+d.  On the tap-major
+    row view ``W = [G(0) ... G(P-1)]`` each lag is one small product,
+    ``R(d) = W[:, dM:] W[:, :(P-d)M]^H``."""
     p, m = G.shape[0], G.shape[1]
+    W = G.transpose(1, 0, 2).reshape(m, p * m)
+    Wh = W.conj().T
     lags = np.empty((2 * p - 1, m, m), dtype=np.complex128)
     for d in range(p):
-        r = np.einsum("kab,kcb->ac", G[d:], G[: p - d].conj())
+        r = W[:, d * m :] @ Wh[: (p - d) * m]
         lags[p - 1 + d] = r
         if d:
             lags[p - 1 - d] = r.conj().T
@@ -187,9 +180,9 @@ def _stacked_covariance(model: StackedModel, tx_power: float) -> np.ndarray:
     """C = (P_T/M)(A A^H + A_I A_I^H) + noise_variance B B^H.
 
     The Gram of all shifted signatures is block-Toeplitz in the tap lag, so
-    it is assembled from the lag sums of the projected taps instead of the
-    explicit (and potentially huge) interference matrix; B B^H collapses to
-    a block diagonal of D^H D.
+    it is assembled from the lag sums of :func:`_lag_gram` instead of the
+    explicit (and potentially huge) interference matrix.  B B^H is block
+    diagonal with D^H D on every diagonal block, added in one indexed add.
     """
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
@@ -198,8 +191,8 @@ def _stacked_covariance(model: StackedModel, tx_power: float) -> np.ndarray:
     cov = lags[idx].transpose(0, 2, 1, 3).reshape(p * m, p * m)
     cov *= tx_power / m
     noise_block = model.noise_variance * (model.combiner.conj().T @ model.combiner)
-    for j in range(p):
-        cov[j * m : (j + 1) * m, j * m : (j + 1) * m] += noise_block
+    blocks = np.arange(p)
+    cov.reshape(p, m, p, m)[blocks, :, blocks, :] += noise_block
     return cov
 
 
@@ -228,22 +221,28 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     ``log2 det[I + R^-1 (P_T/M) E^H A A^H E]`` with
     ``R = E^H ((P_T/M) A_I A_I^H + noise_variance B C_w B^H) E``.
 
-    Valid for any estimator E, not just the LMMSE solution.
+    With E in M x M blocks E_j, the symbol sent d steps away reaches the
+    estimate through ``X(d) = sum_j E_j^H G(j+d)``, one product of block-row
+    slices of E and A per lag: ``E^H A = X(0)`` and ``E^H A_I A_I^H E =
+    X_I X_I^H`` with X_I every X(d), d != 0, side by side.  Valid for any
+    estimator E, not just the LMMSE solution.
     """
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     per_stream = tx_power / m
     E = np.asarray(estimator)
-    Er = E.reshape(p, m, m)
+    Eh = E.conj().T
+    A = model.signal_signatures
 
-    signal = E.conj().T @ model.signal_signatures
-    interference = np.zeros((m, m), dtype=np.complex128)
-    for offset in range(1, p):
-        future = np.einsum("jba,jbc->ac", Er[offset:].conj(), G[: p - offset])
-        past = np.einsum("jba,jbc->ac", Er[: p - offset].conj(), G[offset:])
-        interference += future @ future.conj().T + past @ past.conj().T
+    signal = Eh @ A
+    X = np.empty((m, 2 * p - 2, m), dtype=np.complex128)
+    for d in range(1, p):
+        X[:, d - 1] = Eh[:, : (p - d) * m] @ A[d * m :]
+        X[:, p - 2 + d] = Eh[:, d * m :] @ A[: (p - d) * m]
+    X = X.reshape(m, (2 * p - 2) * m)
+    interference = X @ X.conj().T
     dtd = model.combiner.conj().T @ model.combiner
-    noise = model.noise_variance * np.einsum("jba,bc,jcd->ad", Er.conj(), dtd, Er)
+    noise = model.noise_variance * (Eh @ (dtd @ E.reshape(p, m, m)).reshape(p * m, m))
 
     denom = per_stream * interference + noise
     numer = per_stream * (signal @ signal.conj().T)
@@ -329,13 +328,10 @@ def _single_trial(config: "ScenarioConfig", trial: int) -> LinkResult:
     model = build_stacked_model(channel, pair, config.noise_variance())
     estimator = lmmse_operator(model, config.tx_power_w)
     rate = achievable_rate(model, estimator, config.tx_power_w)
-    if config.se_normalization == "excess-bandwidth":
-        se = rate / (1.0 + config.rolloff)
-    else:
-        se = rate
+    excess = config.se_normalization == "excess-bandwidth"
     return LinkResult(
         rate=rate,
-        spectral_efficiency=se,
+        spectral_efficiency=rate / (1.0 + config.rolloff) if excess else rate,
         trial_seed=trial,
         los=real.los.present,
         n_clusters=real.n_clusters,

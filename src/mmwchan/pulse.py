@@ -26,13 +26,13 @@ class PulseSpec:
     truncation_half_length: int = 8
 
     def __post_init__(self):
-        if self.symbol_period <= 0:
-            raise ValueError(f"symbol period must be positive, got {self.symbol_period!r}")
+        if not 0.0 < self.symbol_period < np.inf:
+            raise ValueError(f"symbol_period must be finite and > 0, got {self.symbol_period!r}")
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError(f"rolloff must lie in (0, 1], got {self.rolloff!r}")
-        if self.truncation_half_length < 1:
+        if not 1 <= self.truncation_half_length < np.inf or self.truncation_half_length % 1:
             raise ValueError(
-                f"truncation half-length must be >= 1 symbol, got "
+                f"truncation_half_length must be a finite integer >= 1, got "
                 f"{self.truncation_half_length!r}"
             )
 

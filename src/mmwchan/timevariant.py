@@ -55,12 +55,15 @@ class MobilitySpec:
     gain_correlation: float | None = None
 
     def __post_init__(self):
-        if self.snapshot_period <= 0:
+        for name in ("v_rx", "v_tx"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0.0 < self.snapshot_period < np.inf:
             raise ValueError(
-                f"snapshot period must be positive, got {self.snapshot_period!r}"
+                f"snapshot_period must be finite and > 0, got {self.snapshot_period!r}"
             )
-        if self.n_snapshots < 1:
-            raise ValueError(f"need at least one snapshot, got {self.n_snapshots!r}")
+        if not 1 <= self.n_snapshots < np.inf or self.n_snapshots % 1:
+            raise ValueError(f"n_snapshots must be a finite integer >= 1, got {self.n_snapshots}")
         if self.gain_correlation is not None and not 0.0 <= self.gain_correlation <= 1.0:
             raise ValueError(
                 f"gain correlation must lie in [0, 1], got {self.gain_correlation!r}"

@@ -3,15 +3,16 @@
 This is the straightforward loop form of tap rendering: one ``np.kron``
 steering vector and one N_R x N_T outer product per ray, added onto the
 delay grid path by path, and one scalar AR(1) sequence per path for the
-snapshot gains.  The library renders the same quantities as stacked per-tap
-products; the tests compare the two on seeded drops.
+snapshot gains; the tap window is searched width by width.  The library
+renders the same quantities as stacked per-tap products and finds the window
+with a two-pointer scan; the tests compare the two on seeded drops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mmwchan.channel import SampledChannel, _gain_normalization, _select_window
+from mmwchan.channel import SampledChannel, _gain_normalization
 from mmwchan.geometry import RayAngles
 from mmwchan.pulse import end_to_end_pulse
 from mmwchan.sampling import ar1_complex_sequence
@@ -94,11 +95,30 @@ def assemble_grid(table, weights, spec, oversampling):
     return grid, n_lo
 
 
+def select_window(grid, energy_threshold):
+    """Leftmost shortest window holding >= (1 - threshold) of the energy,
+    searched width by width over every start: O(P^2) window sums."""
+    if not 0.0 < energy_threshold < 1.0:
+        raise ValueError(f"energy threshold must lie in (0, 1), got {energy_threshold!r}")
+    energy = np.einsum("prt,prt->p", grid, grid.conj()).real
+    total = float(energy.sum())
+    if total <= 0.0:
+        return 0, grid.shape[0]
+    target = (1.0 - energy_threshold) * total
+    csum = np.concatenate(([0.0], np.cumsum(energy)))
+    for width in range(1, grid.shape[0] + 1):
+        sums = csum[width:] - csum[:-width]
+        hits = sums >= target
+        if hits.any():
+            return int(np.argmax(hits)), width
+    return 0, grid.shape[0]
+
+
 def sample_channel(real, arrays, spec, energy_threshold=1e-4, oversampling=1):
     table = path_table(real, arrays)
     weights = table["static_scale"] * table["base_gain"]
     grid, n_lo = assemble_grid(table, weights, spec, oversampling)
-    start, width = _select_window(grid, energy_threshold)
+    start, width = select_window(grid, energy_threshold)
     return SampledChannel(
         taps=grid[start : start + width],
         sample_period=spec.symbol_period / oversampling,
@@ -133,7 +153,7 @@ def evolve_channel(real, arrays, spec, mob, rng, energy_threshold=1e-4, oversamp
         t = np.arange(n_snap) * mob.snapshot_period
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
     grid, n_lo = assemble_grid(table, table["static_scale"] * gains[0], spec, oversampling)
-    start, width = _select_window(grid, energy_threshold)
+    start, width = select_window(grid, energy_threshold)
     snapshots = [grid[start : start + width]]
     for k in range(1, n_snap):
         grid, _ = assemble_grid(table, table["static_scale"] * gains[k], spec, oversampling)

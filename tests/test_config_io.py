@@ -300,6 +300,21 @@ def test_cdf_csv_without_rows_is_rejected(tmp_path, text):
         read_cdf_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("1.0,0.5\n1.0,abc", "bad.csv:3: could not convert"),
+        ("2.5\n3.0,1.0", "bad.csv:2: not enough values"),
+        ("1.0,0.5\n1.0,0.5,2.0", "bad.csv:3: too many values"),
+    ],
+)
+def test_cdf_csv_bad_row_names_file_and_line(tmp_path, rows, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"spectral_efficiency_bits_s_hz,cdf\n{rows}\n")
+    with pytest.raises(ValueError, match=match):
+        read_cdf_csv(path)
+
+
 def test_trial_log_structure(tmp_path):
     import json
 

@@ -1,5 +1,6 @@
-"""Property tests for the input boundary: the config parser and the tensor
-readers turn every malformed input into a ValueError naming the key or file."""
+"""Property tests for the input boundary: the config parser, the component
+constructors and the tensor readers turn every malformed input into a
+ValueError naming the key, field or file."""
 
 import re
 import typing
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mmwchan import ScenarioConfig, parse_config, serialize_config
+from mmwchan import (
+    MobilitySpec,
+    PlanarArray,
+    PulseSpec,
+    ScenarioConfig,
+    parse_config,
+    serialize_config,
+)
 from mmwchan.channel import SampledChannel
 from mmwchan.io import (
     read_channel,
@@ -38,6 +46,31 @@ def test_non_finite_float_is_rejected_by_name(key, text):
     # A finite domain, so every key and value is tried rather than sampled.
     with pytest.raises(ValueError, match=f"'{key}'.*finite"):
         parse_config(None, {key: text})
+
+
+COMPONENT_FIELDS = {
+    "symbol_period": lambda x: PulseSpec(symbol_period=x),
+    "snapshot_period": lambda x: MobilitySpec(snapshot_period=x),
+    "v_rx": lambda x: MobilitySpec(v_rx=x),
+    "v_tx": lambda x: MobilitySpec(v_tx=x),
+    "spacing_wavelengths": lambda x: PlanarArray(2, 2, x),
+    "truncation_half_length": lambda x: PulseSpec(1e-9, truncation_half_length=x),
+    "n_snapshots": lambda x: MobilitySpec(n_snapshots=x),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", COMPONENT_FIELDS)
+def test_non_finite_component_field_is_rejected_by_name(field, value):
+    # Direct library callers bypass ScenarioConfig.validate.
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        COMPONENT_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field", ["truncation_half_length", "n_snapshots"])
+def test_fractional_count_field_is_rejected_by_name(field):
+    with pytest.raises(ValueError, match=f"{field} must be a finite integer"):
+        COMPONENT_FIELDS[field](2.5)
 
 
 def floats(low=None, high=None, exclude_low=False, exclude_high=False):

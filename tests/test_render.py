@@ -4,7 +4,8 @@ The library renders each tap as one stacked product of steering matrices;
 ``render_oracle`` adds one outer product per ray onto the grid.  The sums run
 in a different order, so taps agree to a relative tolerance fixed from
 float64 round-off over ~100 terms, while the selected window must agree
-exactly.  The bitwise contracts (snapshot 0 equals the static tensor, the
+exactly; the two-pointer window scan must pick the oracle's window on
+arbitrary energies too.  The bitwise contracts (snapshot 0 equals the static tensor, the
 static limit is frozen, a realization read back from its metadata re-samples
 identically) are checked in the same configurations.
 """
@@ -13,9 +14,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import render_oracle as oracle
 from mmwchan import MobilitySpec, ScenarioConfig, evolve_channel, realize_channel, sample_channel
+from mmwchan.channel import _select_window
 from mmwchan.io import read_realization_metadata, write_realization_metadata
 from mmwchan.sampling import RngStream
 
@@ -124,3 +128,24 @@ def test_metadata_round_trip_resamples_bitwise(name, tmp_path):
         resampled = _sample(config, back)
         assert resampled.tap_offset == original.tap_offset, seed
         assert np.array_equal(resampled.taps, original.taps), seed
+
+
+# Few distinct values make exact zeros and tied window sums common.
+tap_energies = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.0]), st.floats(0.0, 1e6)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    energies=st.one_of(tap_energies, st.integers(1, 40).map(lambda n: [0.0] * n)),
+    threshold=st.one_of(
+        st.sampled_from([1e-4, 0.25, 0.5]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+def test_window_scan_matches_width_search(energies, threshold):
+    grid = np.sqrt(np.array(energies, dtype=complex))[:, None, None]
+    assert _select_window(grid, threshold) == oracle.select_window(grid, threshold)

@@ -9,6 +9,7 @@ correlation).
 from __future__ import annotations
 
 import math
+import numbers
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -124,11 +125,14 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ValueError naming the offending key on any bad setting:
         a value outside its set in :data:`_ADMISSIBLE`, a float that is not
-        finite, or more streams than the smaller array has elements."""
+        finite, a non-integer for an ``int`` key, or more streams than the
+        smaller array has elements."""
         for f in fields(self):
             key, value, allowed = f.name, getattr(self, f.name), _ADMISSIBLE[f.name]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"'{key}' must be finite, got {value!r}")
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ValueError(f"'{key}' must be an integer, got {value!r}")
             if value not in allowed:
                 what = f"in {allowed}" if isinstance(allowed, _Interval) else f"one of {allowed}"
                 raise ValueError(f"'{key}' must be {what}, got {value!r}")

@@ -27,13 +27,9 @@ class LinkGeometry:
     rx_height: float
 
     def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError(f"link distance must be positive, got {self.distance!r}")
-        if self.tx_height <= 0 or self.rx_height <= 0:
-            raise ValueError(
-                f"antenna heights must be positive, got "
-                f"tx={self.tx_height!r}, rx={self.rx_height!r}"
-            )
+        for name in ("distance", "tx_height", "rx_height"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
     @property
     def slant_range(self) -> float:

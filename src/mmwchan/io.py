@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,210 +49,153 @@ MAGIC = b"MMWC"
 STATIC_VERSION = 1
 DYNAMIC_VERSION = 2
 
-_STATIC_HEADER = struct.Struct("<4sIIIIdq")
-_DYNAMIC_HEADER = struct.Struct("<4sIIIIdqId")
+#: Header layout of each tensor version, as in the module docstring.
+_HEADERS = {
+    STATIC_VERSION: struct.Struct("<4sIIIIdq"),
+    DYNAMIC_VERSION: struct.Struct("<4sIIIIdqId"),
+}
 
 
-def _write_tensor(path, header: bytes, taps: np.ndarray) -> None:
-    """Header, then the tap buffer itself: no payload copy is made unless
-    the taps are not already contiguous little-endian complex128."""
+def _write_tensor(path, version: int, taps: np.ndarray, *meta) -> None:
+    """Header (the taps' dimensions, then ``meta``), then the tap buffer
+    itself: no payload copy is made unless the taps are not already
+    contiguous little-endian complex128."""
+    n_taps, n_rx, n_tx = taps.shape[-3:]
+    header = _HEADERS[version].pack(MAGIC, version, n_rx, n_tx, n_taps, *meta)
     with open(path, "wb") as f:
         f.write(header)
         f.write(np.ascontiguousarray(taps, dtype="<c16").data)
 
 
-def write_static_channel(path, channel: SampledChannel) -> None:
-    header = _STATIC_HEADER.pack(
-        MAGIC,
-        STATIC_VERSION,
-        channel.n_rx,
-        channel.n_tx,
-        channel.n_taps,
-        channel.sample_period,
-        channel.tap_offset,
-    )
-    _write_tensor(path, header, channel.taps)
-
-
-def _check_magic(blob: bytes, path) -> int:
-    """Version field of a tensor file's leading bytes, after the magic."""
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a tap-tensor file (bad magic)")
-    return int.from_bytes(blob[4:8], "little")
-
-
-def _read_tensor(path, version: int, kind: str) -> tuple[tuple, np.ndarray]:
-    """Header fields after magic and version, and the taps, of a tensor
-    file that must be ``version`` (``kind`` names it in errors).
-
-    The payload size is checked against the header before the payload is
-    read straight into the returned array.  Any mismatch raises ValueError
-    naming the file.
-    """
-    header = _STATIC_HEADER if version == STATIC_VERSION else _DYNAMIC_HEADER
+def _read_tensor(path, versions):
+    """The channel stored in a tensor file whose version is in ``versions``.
+    Opens the file once and checks magic, version, header length and payload
+    size before reading the payload straight into the returned array; any
+    mismatch raises ValueError naming the file."""
     with open(path, "rb") as f:
-        blob = f.read(header.size)
-        found = _check_magic(blob, path)
-        if found != version:
-            raise ValueError(f"{path}: version {found} is not a {kind} (expected {version})")
+        blob = f.read(8)
+        if len(blob) < 8 or blob[:4] != MAGIC:
+            raise ValueError(f"{path}: not a tap-tensor file (bad magic)")
+        version = int.from_bytes(blob[4:], "little")
+        if version not in versions:
+            raise ValueError(f"{path}: tap-tensor version {version} is not in {list(versions)}")
+        header = _HEADERS[version]
+        blob += f.read(header.size - len(blob))
         if len(blob) < header.size:
             raise ValueError(f"{path}: header truncated to {len(blob)} of {header.size} bytes")
-        values = header.unpack(blob)[2:]
-        n_rx, n_tx, n_taps = values[:3]
-        shape = (n_taps, n_rx, n_tx)
-        if version == DYNAMIC_VERSION:
-            shape = (values[5],) + shape
+        _, _, n_rx, n_tx, n_taps, period, offset, *extra = header.unpack(blob)
+        shape = (*extra[:1], n_taps, n_rx, n_tx)
         count = math.prod(shape)
         if os.fstat(f.fileno()).st_size != header.size + 16 * count:
             raise ValueError(f"{path}: payload size does not match the header")
-        taps = np.fromfile(f, dtype="<c16", count=count)
-    return values, taps.reshape(shape)
+        taps = np.fromfile(f, dtype="<c16", count=count).reshape(shape)
+    if version == STATIC_VERSION:
+        return SampledChannel(taps, period, offset)
+    return TimeVariantChannel(taps, period, offset, snapshot_period=extra[1])
 
 
-def read_static_channel(path) -> SampledChannel:
-    (_, _, _, period, offset), taps = _read_tensor(path, STATIC_VERSION, "static tensor")
-    return SampledChannel(taps=taps, sample_period=period, tap_offset=offset)
+def write_static_channel(path, channel: SampledChannel) -> None:
+    _write_tensor(path, STATIC_VERSION, channel.taps, channel.sample_period, channel.tap_offset)
 
 
 def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
-    n_snap, n_taps, n_rx, n_tx = channel.snapshots.shape
-    header = _DYNAMIC_HEADER.pack(
-        MAGIC,
-        DYNAMIC_VERSION,
-        n_rx,
-        n_tx,
-        n_taps,
-        channel.sample_period,
-        channel.tap_offset,
-        n_snap,
-        channel.snapshot_period,
+    _write_tensor(
+        path, DYNAMIC_VERSION, channel.snapshots, channel.sample_period, channel.tap_offset,
+        channel.n_snapshots, channel.snapshot_period,
     )
-    _write_tensor(path, header, channel.snapshots)
+
+
+def read_static_channel(path) -> SampledChannel:
+    return _read_tensor(path, (STATIC_VERSION,))
 
 
 def read_dynamic_channel(path) -> TimeVariantChannel:
-    (_, _, _, period, offset, _, snap_period), snapshots = _read_tensor(
-        path, DYNAMIC_VERSION, "snapshot sequence"
-    )
-    return TimeVariantChannel(
-        snapshots=snapshots,
-        sample_period=period,
-        tap_offset=offset,
-        snapshot_period=snap_period,
-    )
+    return _read_tensor(path, (DYNAMIC_VERSION,))
 
 
 def read_channel(path):
     """Read either tensor flavor, dispatching on the header version."""
-    with open(path, "rb") as f:
-        version = _check_magic(f.read(8), path)
-    if version == STATIC_VERSION:
-        return read_static_channel(path)
-    if version == DYNAMIC_VERSION:
-        return read_dynamic_channel(path)
-    raise ValueError(f"{path}: unsupported tap-tensor version {version}")
+    return _read_tensor(path, tuple(_HEADERS))
 
 
 # -- realization metadata --------------------------------------------------
 
+# Sidecar key tables, one per stored object: JSON key -> attribute.  Both
+# directions read them; only the nested objects' keys are spelled out.
+_TOP_KEYS = {
+    "scenario": "scenario", "carrier_frequency_hz": "carrier_frequency",
+    "gain_normalization": "gain_normalization",
+}
+_GEOMETRY_KEYS = {"distance_m": "distance", "tx_height_m": "tx_height", "rx_height_m": "rx_height"}
+_LOS_KEYS = {
+    "present": "present", "path_length_m": "path_length", "delay_s": "delay",
+    "attenuation_db": "attenuation_db", "shadow_db": "shadow_db", "phase_rad": "phase",
+}
+_ANGLE_KEYS = {f"{f.name}_rad": f.name for f in fields(RayAngles)}
+_CLUSTER_KEYS = {"distance_m": "distance"}
+#: Per-ray arrays of a cluster; the complex gains are stored as two parts.
+_RAY_KEYS = {
+    **_ANGLE_KEYS, "shadow_db": "shadow_db", "attenuation_db": "attenuation_db",
+    "path_length_m": "path_lengths", "delay_s": "delays",
+}
+_GAIN_KEYS = {"gain_real": "real", "gain_imag": "imag"}
 
-def _angles_dict(angles: RayAngles) -> dict:
-    return {
-        "aod_azimuth_rad": float(angles.aod_azimuth),
-        "aod_elevation_rad": float(angles.aod_elevation),
-        "aoa_azimuth_rad": float(angles.aoa_azimuth),
-        "aoa_elevation_rad": float(angles.aoa_elevation),
-    }
+
+def _plain(value):
+    """JSON-ready value: text as it is, flags as bool, numbers as floats."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    return value if isinstance(value, str) else np.asarray(value, float).tolist()
+
+
+def _encode(obj, keys: dict) -> dict:
+    return {key: _plain(getattr(obj, attr)) for key, attr in keys.items()}
+
+
+def _get(data: dict, key: str):
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return data[key]
+
+
+def _decode(data: dict, keys: dict) -> dict:
+    return {attr: _get(data, key) for key, attr in keys.items()}
 
 
 def realization_to_dict(real: ChannelRealization) -> dict:
     """JSON-ready dictionary holding the complete realization."""
-    clusters = []
-    for c in real.clusters:
-        clusters.append(
-            {
-                "distance_m": float(c.distance),
-                "mean": _angles_dict(c.mean_angles),
-                "aod_azimuth_rad": c.aod_azimuth.tolist(),
-                "aod_elevation_rad": c.aod_elevation.tolist(),
-                "aoa_azimuth_rad": c.aoa_azimuth.tolist(),
-                "aoa_elevation_rad": c.aoa_elevation.tolist(),
-                "gain_real": c.gains.real.tolist(),
-                "gain_imag": c.gains.imag.tolist(),
-                "shadow_db": c.shadow_db.tolist(),
-                "attenuation_db": c.attenuation_db.tolist(),
-                "path_length_m": c.path_lengths.tolist(),
-                "delay_s": c.delays.tolist(),
-            }
-        )
     return {
-        "scenario": real.scenario,
-        "carrier_frequency_hz": float(real.carrier_frequency),
-        "distance_m": float(real.geometry.distance),
-        "tx_height_m": float(real.geometry.tx_height),
-        "rx_height_m": float(real.geometry.rx_height),
-        "gain_normalization": float(real.gain_normalization),
-        "los": {
-            "present": bool(real.los.present),
-            **_angles_dict(real.los.angles),
-            "path_length_m": float(real.los.path_length),
-            "delay_s": float(real.los.delay),
-            "attenuation_db": float(real.los.attenuation_db),
-            "shadow_db": float(real.los.shadow_db),
-            "phase_rad": float(real.los.phase),
-        },
-        "clusters": clusters,
+        **_encode(real, _TOP_KEYS),
+        **_encode(real.geometry, _GEOMETRY_KEYS),
+        "los": {**_encode(real.los, _LOS_KEYS), **_encode(real.los.angles, _ANGLE_KEYS)},
+        "clusters": [
+            {
+                **_encode(c, {**_CLUSTER_KEYS, **_RAY_KEYS}),
+                **_encode(c.gains, _GAIN_KEYS),
+                "mean": _encode(c.mean_angles, _ANGLE_KEYS),
+            }
+            for c in real.clusters
+        ],
     }
 
 
 def realization_from_dict(data: dict) -> ChannelRealization:
+    """Inverse of :func:`realization_to_dict`.  A missing key, or per-ray
+    arrays of unequal length, raise ValueError naming the key or cluster."""
     clusters = []
-    for c in data["clusters"]:
-        clusters.append(
-            ClusterRealization(
-                distance=c["distance_m"],
-                mean_angles=RayAngles(
-                    aod_azimuth=c["mean"]["aod_azimuth_rad"],
-                    aod_elevation=c["mean"]["aod_elevation_rad"],
-                    aoa_azimuth=c["mean"]["aoa_azimuth_rad"],
-                    aoa_elevation=c["mean"]["aoa_elevation_rad"],
-                ),
-                aod_azimuth=np.array(c["aod_azimuth_rad"]),
-                aod_elevation=np.array(c["aod_elevation_rad"]),
-                aoa_azimuth=np.array(c["aoa_azimuth_rad"]),
-                aoa_elevation=np.array(c["aoa_elevation_rad"]),
-                gains=np.array(c["gain_real"]) + 1j * np.array(c["gain_imag"]),
-                shadow_db=np.array(c["shadow_db"]),
-                attenuation_db=np.array(c["attenuation_db"]),
-                path_lengths=np.array(c["path_length_m"]),
-                delays=np.array(c["delay_s"]),
-            )
-        )
-    los = data["los"]
+    for index, c in enumerate(_get(data, "clusters")):
+        rays = {attr: np.array(v) for attr, v in _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}).items()}
+        if len({a.shape for a in rays.values()}) > 1:
+            raise ValueError(f"cluster {index}: per-ray arrays differ in length")
+        rays["gains"] = rays.pop("real") + 1j * rays.pop("imag")
+        rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean"), _ANGLE_KEYS))
+        clusters.append(ClusterRealization(**_decode(c, _CLUSTER_KEYS), **rays))
+    los = _get(data, "los")
     return ChannelRealization(
-        scenario=data["scenario"],
-        carrier_frequency=data["carrier_frequency_hz"],
-        geometry=LinkGeometry(
-            distance=data["distance_m"],
-            tx_height=data["tx_height_m"],
-            rx_height=data["rx_height_m"],
-        ),
+        **_decode(data, _TOP_KEYS),
+        geometry=LinkGeometry(**_decode(data, _GEOMETRY_KEYS)),
         clusters=clusters,
-        los=LosComponent(
-            present=los["present"],
-            angles=RayAngles(
-                aod_azimuth=los["aod_azimuth_rad"],
-                aod_elevation=los["aod_elevation_rad"],
-                aoa_azimuth=los["aoa_azimuth_rad"],
-                aoa_elevation=los["aoa_elevation_rad"],
-            ),
-            path_length=los["path_length_m"],
-            delay=los["delay_s"],
-            attenuation_db=los["attenuation_db"],
-            shadow_db=los["shadow_db"],
-            phase=los["phase_rad"],
-        ),
-        gain_normalization=data["gain_normalization"],
+        los=LosComponent(**_decode(los, _LOS_KEYS), angles=RayAngles(**_decode(los, _ANGLE_KEYS))),
     )
 
 
@@ -262,8 +206,13 @@ def write_realization_metadata(path, real: ChannelRealization, run_info: dict) -
 
 
 def read_realization_metadata(path) -> tuple[dict, ChannelRealization]:
-    document = json.loads(Path(path).read_text())
-    return document["run"], realization_from_dict(document["realization"])
+    """Run provenance and realization of a sidecar; a file that is not
+    JSON or does not hold a valid realization raises ValueError naming it."""
+    try:
+        document = json.loads(Path(path).read_text())
+        return _get(document, "run"), realization_from_dict(_get(document, "realization"))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # -- experiment outputs ----------------------------------------------------

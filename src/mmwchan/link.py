@@ -46,8 +46,12 @@ def thermal_noise_variance(
     temperature_k: float = 290.0,
 ) -> float:
     """Receiver noise power k_B * T * W * F in watts."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz!r}")
+    if not 0.0 < bandwidth_hz < np.inf:
+        raise ValueError(f"bandwidth_hz must be finite and > 0, got {bandwidth_hz!r}")
+    if not -np.inf < noise_figure_db < np.inf:
+        raise ValueError(f"noise_figure_db must be finite, got {noise_figure_db!r}")
+    if not 0.0 < temperature_k < np.inf:
+        raise ValueError(f"temperature_k must be finite and > 0, got {temperature_k!r}")
     return Boltzmann * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
 
 
@@ -74,8 +78,8 @@ class StackedModel:
     window of P received vectors ``r(n) ... r(n+P-1)`` gives
     ``r_stack = A s(n) + A_I s_I(n) + B w_stack`` where ``s_I`` collects the
     2P-2 neighboring transmit vectors (past first, each side in increasing
-    symbol order) and ``w_stack`` the P noise vectors.  The physical noise
-    covariance is ``noise_variance * noise_covariance``.
+    symbol order) and ``w_stack`` the P noise vectors, each white with
+    variance ``noise_variance`` per receive element.
     """
 
     projected_taps: np.ndarray  # (P, M, M)
@@ -112,18 +116,13 @@ class StackedModel:
         """B: (M P, N_R P), block-diagonal with D^H repeated P times."""
         return np.kron(np.eye(self.n_taps), self.combiner.conj().T)
 
-    @property
-    def noise_covariance(self) -> np.ndarray:
-        """C_w: unit-normalized per-symbol noise covariance (identity)."""
-        return np.eye(self.combiner.shape[0])
-
 
 def design_beamformers(channel: SampledChannel, n_streams: int) -> BeamformerPair:
     """SVD beamformers of the strongest tap (Frobenius norm, ties to the
     smallest index)."""
-    if not 1 <= n_streams <= min(channel.n_rx, channel.n_tx):
+    if not 1 <= n_streams <= min(channel.n_rx, channel.n_tx) or n_streams % 1:
         raise ValueError(
-            f"stream count must lie in [1, {min(channel.n_rx, channel.n_tx)}], "
+            f"n_streams must be an integer in [1, {min(channel.n_rx, channel.n_tx)}], "
             f"got {n_streams!r}"
         )
     norms = np.linalg.norm(channel.taps, axis=(1, 2))
@@ -149,8 +148,8 @@ def build_stacked_model(
     noise_variance: float,
 ) -> StackedModel:
     """Project every tap through the beamformers: ``G(l) = D^H H(l) Q``."""
-    if noise_variance <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance!r}")
+    if not 0.0 < noise_variance < np.inf:
+        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance!r}")
     G = beamformers.combiner.conj().T @ channel.taps @ beamformers.precoder
     return StackedModel(
         projected_taps=G,
@@ -203,8 +202,8 @@ def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     singular covariance (possible only with degenerate inputs) surfaces as
     a LinAlgError.
     """
-    if tx_power <= 0:
-        raise ValueError(f"transmit power must be positive, got {tx_power!r}")
+    if not 0.0 < tx_power < np.inf:
+        raise ValueError(f"tx_power must be finite and > 0, got {tx_power!r}")
     cov = _stacked_covariance(model, tx_power)
     try:
         factor = scipy.linalg.cho_factor(cov)
@@ -219,7 +218,7 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     """Rate (bits per channel use) of the estimated streams, interference
     and noise treated as Gaussian:
     ``log2 det[I + R^-1 (P_T/M) E^H A A^H E]`` with
-    ``R = E^H ((P_T/M) A_I A_I^H + noise_variance B C_w B^H) E``.
+    ``R = E^H ((P_T/M) A_I A_I^H + noise_variance B B^H) E``.
 
     With E in M x M blocks E_j, the symbol sent d steps away reaches the
     estimate through ``X(d) = sum_j E_j^H G(j+d)``, one product of block-row
@@ -227,6 +226,8 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     X_I X_I^H`` with X_I every X(d), d != 0, side by side.  Valid for any
     estimator E, not just the LMMSE solution.
     """
+    if not 0.0 < tx_power < np.inf:
+        raise ValueError(f"tx_power must be finite and > 0, got {tx_power!r}")
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     per_stream = tx_power / m

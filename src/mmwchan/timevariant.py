@@ -21,6 +21,7 @@ import numpy as np
 
 from .arrays import ArrayPair
 from .channel import (
+    DEFAULT_ENERGY_THRESHOLD,
     ChannelRealization,
     _path_table,
     _pulse_matrix,
@@ -113,7 +114,7 @@ def evolve_channel(
     spec: PulseSpec,
     mob: MobilitySpec,
     rng: np.random.Generator,
-    energy_threshold: float = 1e-4,
+    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
     oversampling: int = 1,
 ) -> TimeVariantChannel:
     """Render a realization as a sequence of tap-tensor snapshots.

@@ -1,5 +1,6 @@
 """Tests for the flat config format and the on-disk artifact formats."""
 
+import json
 import struct
 
 import numpy as np
@@ -175,6 +176,29 @@ def test_static_tensor_header_layout(tmp_path):
     assert re + 1j * im == channel.taps[0, 0, 0]
 
 
+def test_dynamic_tensor_header_layout(tmp_path):
+    real = delta_realization([0.0, 2.0], [-80.0, -83.0])
+    mob = MobilitySpec(v_rx=10.0, n_snapshots=3)
+    channel = evolve_channel(
+        real, small_arrays(), dyadic_pulse(), mob, np.random.default_rng(0)
+    )
+    path = tmp_path / "seq.mmwc"
+    write_dynamic_channel(path, channel)
+    blob = path.read_bytes()
+    fields = struct.unpack_from("<4sIIIIdqId", blob)
+    magic, version, n_rx, n_tx, n_taps, period, offset, n_snap, snap_period = fields
+    assert magic == MAGIC == b"MMWC"
+    assert version == DYNAMIC_VERSION == 2
+    assert (n_snap, n_taps, n_rx, n_tx) == channel.snapshots.shape
+    assert period == channel.sample_period
+    assert offset == channel.tap_offset
+    assert snap_period == channel.snapshot_period
+    header = struct.calcsize("<4sIIIIdqId")
+    assert len(blob) == header + n_snap * n_taps * n_rx * n_tx * 16
+    re, im = struct.unpack_from("<dd", blob, header)
+    assert re + 1j * im == channel.snapshots[0, 0, 0, 0]
+
+
 def test_negative_tap_offset_survives_round_trip(tmp_path):
     channel = sampled_for_io()
     shifted = SampledChannel(
@@ -268,6 +292,64 @@ def test_metadata_file_round_trip(tmp_path):
     b = sample_channel(back, small_arrays(), dyadic_pulse())
     np.testing.assert_array_equal(a.taps, b.taps)
     assert a.tap_offset == b.tap_offset
+
+
+ANGLE_KEYS = {"aod_azimuth_rad", "aod_elevation_rad", "aoa_azimuth_rad", "aoa_elevation_rad"}
+
+
+def test_sidecar_key_names_are_pinned(tmp_path):
+    path = tmp_path / "real.json"
+    write_realization_metadata(path, fixed_realization(n_rays=3, los=True), {})
+    stored = json.loads(path.read_text())["realization"]
+    assert set(stored) == {
+        "scenario", "carrier_frequency_hz", "distance_m", "tx_height_m",
+        "rx_height_m", "gain_normalization", "los", "clusters",
+    }
+    assert set(stored["los"]) == ANGLE_KEYS | {
+        "present", "path_length_m", "delay_s", "attenuation_db", "shadow_db",
+        "phase_rad",
+    }
+    (cluster,) = stored["clusters"]
+    assert set(cluster) == ANGLE_KEYS | {
+        "distance_m", "mean", "gain_real", "gain_imag", "shadow_db",
+        "attenuation_db", "path_length_m", "delay_s",
+    }
+    assert set(cluster["mean"]) == ANGLE_KEYS
+    assert all(len(cluster[key]) == 3 for key in cluster if key not in ("distance_m", "mean"))
+
+
+def sidecar_with(tmp_path, edit):
+    """Path of a sidecar whose realization dictionary went through ``edit``."""
+    path = tmp_path / "real.json"
+    write_realization_metadata(path, fixed_realization(n_rays=3, los=True), {})
+    document = json.loads(path.read_text())
+    edit(document["realization"])
+    path.write_text(json.dumps(document))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda r: r["los"].pop("phase_rad"), "missing key 'phase_rad'"),
+        (lambda r: r["clusters"][0]["mean"].pop("aoa_azimuth_rad"), "'aoa_azimuth_rad'"),
+        (lambda r: r.pop("tx_height_m"), "missing key 'tx_height_m'"),
+        (lambda r: r["clusters"][0]["delay_s"].pop(), "cluster 0: per-ray arrays"),
+        (lambda r: r["clusters"][0]["gain_imag"].append(0.0), "cluster 0: per-ray arrays"),
+    ],
+    ids=["los-key", "mean-key", "geometry-key", "short-delays", "long-gains"],
+)
+def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):
+    path = sidecar_with(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"real.json: .*{match}"):
+        read_realization_metadata(path)
+
+
+def test_non_json_sidecar_names_file(tmp_path):
+    path = tmp_path / "real.json"
+    path.write_text("not json\n")
+    with pytest.raises(ValueError, match="real.json: "):
+        read_realization_metadata(path)
 
 
 # -- CSV and trial log -----------------------------------------------------

@@ -47,6 +47,41 @@ def test_thermal_noise_scales():
         thermal_noise_variance(0.0)
 
 
+NAN = float("nan")
+
+
+def _beamformed():
+    channel = random_channel(np.random.default_rng(3))
+    return channel, design_beamformers(channel, 2)
+
+
+def _estimated_model():
+    model = random_stacked_model(np.random.default_rng(10))
+    return model, lmmse_operator(model, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: thermal_noise_variance(NAN), "bandwidth_hz"),
+        (lambda: thermal_noise_variance(500e6, noise_figure_db=NAN), "noise_figure_db"),
+        (lambda: thermal_noise_variance(500e6, temperature_k=float("inf")), "temperature_k"),
+        (lambda: achievable_rate(*_estimated_model(), NAN), "tx_power"),
+        (lambda: lmmse_operator(_estimated_model()[0], NAN), "tx_power"),
+        (lambda: lmmse_operator(_estimated_model()[0], float("inf")), "tx_power"),
+        (lambda: build_stacked_model(*_beamformed(), noise_variance=NAN), "noise_variance"),
+        (lambda: design_beamformers(_beamformed()[0], 2.5), "n_streams"),
+    ],
+    ids=[
+        "noise-bandwidth", "noise-figure", "noise-temperature", "rate-power",
+        "lmmse-nan-power", "lmmse-inf-power", "stack-noise", "fractional-streams",
+    ],
+)
+def test_bad_link_argument_is_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call()
+
+
 # -- beamformer design -----------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mmwchan import (
+    LinkGeometry,
     MobilitySpec,
     PlanarArray,
     PulseSpec,
@@ -48,6 +49,25 @@ def test_non_finite_float_is_rejected_by_name(key, text):
         parse_config(None, {key: text})
 
 
+INT_KEYS = [
+    "rx_horizontal", "rx_vertical", "tx_horizontal", "tx_vertical",
+    "truncation_half_length", "oversampling", "seed", "n_snapshots", "n_streams", "n_trials",
+]
+
+
+def test_int_keys_are_listed_exhaustively():
+    hints = typing.get_type_hints(ScenarioConfig)
+    assert sorted(INT_KEYS) == sorted(key for key, hint in hints.items() if hint is int)
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_fractional_int_key_is_rejected_by_name(key):
+    # parse_config already refuses "2.5" for these keys; library callers
+    # build ScenarioConfig directly.
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        ScenarioConfig(**{key: 2.5}).validate()
+
+
 COMPONENT_FIELDS = {
     "symbol_period": lambda x: PulseSpec(symbol_period=x),
     "snapshot_period": lambda x: MobilitySpec(snapshot_period=x),
@@ -56,6 +76,9 @@ COMPONENT_FIELDS = {
     "spacing_wavelengths": lambda x: PlanarArray(2, 2, x),
     "truncation_half_length": lambda x: PulseSpec(1e-9, truncation_half_length=x),
     "n_snapshots": lambda x: MobilitySpec(n_snapshots=x),
+    "distance": lambda x: LinkGeometry(x, 7.0, 1.0),
+    "tx_height": lambda x: LinkGeometry(30.0, x, 1.0),
+    "rx_height": lambda x: LinkGeometry(30.0, 7.0, x),
 }
 
 

@@ -8,11 +8,14 @@ the total tap energy.
 
 Rendering is shared with :mod:`mmwchan.timevariant`.  A realization is
 flattened once into a path table holding the steering matrices ``A_r``
-(paths x N_R) and ``A_t`` (paths x N_T); the truncated pulse of every path
-on the delay grid forms a matrix ``Pi`` (taps x paths).  Under per-path
-weights ``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)``, one small
-matrix product per tap, so a tap's value never depends on which other
-taps are rendered with it.
+(paths x N_R) and ``A_t`` (paths x N_T).  The render sorts the paths by
+delay (the table keeps its order) and lays the truncated pulse of every
+path on the delay grid as a matrix ``Pi`` (taps x paths).  A path's first
+and last covered taps grow with its delay, so the paths covering tap ``n``
+form one contiguous range of the sorted paths, and under per-path weights
+``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range
+only: one small matrix product per tap.  A tap's value never depends on
+which other taps, or which other weight sets, are rendered with it.
 """
 
 from __future__ import annotations
@@ -302,42 +305,96 @@ def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
     )
 
 
-def _pulse_matrix(
-    table: _PathTable, spec: PulseSpec, oversampling: int
-) -> tuple[np.ndarray, int]:
-    """Truncated pulse of every path on the full delay grid.
+@dataclass(eq=False)
+class _TapGrid:
+    """A path table's truncated pulses on the full delay grid, paths in
+    delay order.
 
-    Entry ``[i, p]`` is path ``p``'s pulse at grid index ``n_lo + i``, zero
-    outside its truncated support.  The grid covers every path's support;
-    returns the matrix and ``n_lo``, the grid index of its first row
-    relative to the direct-path delay.
+    Column ``q`` of ``pulse``, ``a_r`` and row ``q`` of ``a_t`` describe
+    table row ``order[q]``, where ``order`` is a stable argsort of the
+    delays.  Every path's first and last covered grid rows grow with its
+    delay, so the paths covering row ``i`` are the contiguous columns
+    ``lo[i]:hi[i]`` (empty for a row no path covers).
     """
+
+    order: np.ndarray  # (paths,) table row of each column
+    pulse: np.ndarray  # (rows, paths) truncated pulse, zero outside support
+    lo: np.ndarray     # (rows,) first column covering each row
+    hi: np.ndarray     # (rows,) one past the last column covering it
+    a_r: np.ndarray    # (N_R, paths) receive steering vectors as columns
+    a_t: np.ndarray    # (paths, N_T) conjugated transmit steering vectors
+    n_lo: int          # grid index of row 0 relative to the direct-path delay
+
+
+def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid:
+    """Sort the paths by delay and lay their truncated pulses on the grid
+    covering every path's support."""
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError(f"oversampling must be a positive integer, got {oversampling!r}")
+    order = np.argsort(table.tau_rel, kind="stable")
+    tau = table.tau_rel[order]
     dt = spec.symbol_period / oversampling
     half_t = spec.truncation_half_length * spec.symbol_period
-    starts = np.ceil((table.tau_rel - half_t) / dt).astype(int)
-    stops = np.floor((table.tau_rel + half_t) / dt).astype(int)
-    n = np.arange(starts.min(), stops.max() + 1)[:, None]
-    inside = (n >= starts) & (n <= stops)
-    pulse = np.where(inside, end_to_end_pulse(spec, n * dt - table.tau_rel), 0.0)
-    return pulse, int(starts.min())
+    starts = np.ceil((tau - half_t) / dt).astype(int)
+    stops = np.floor((tau + half_t) / dt).astype(int)
+    n = np.arange(starts.min(), stops.max() + 1)
+    inside = (n[:, None] >= starts) & (n[:, None] <= stops)
+    pulse = np.where(inside, end_to_end_pulse(spec, n[:, None] * dt - tau), 0.0)
+    return _TapGrid(
+        order=order,
+        pulse=pulse,
+        lo=np.searchsorted(stops, n, side="left"),
+        hi=np.searchsorted(starts, n, side="right"),
+        a_r=np.ascontiguousarray(table.a_r[order].T),
+        a_t=table.a_t[order].conj(),
+        n_lo=int(n[0]),
+    )
 
 
 def _render_taps(
-    table: _PathTable, pulse: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+    grid: _TapGrid,
+    weights: np.ndarray,
+    rows: range | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tap tensor for the grid rows of ``pulse`` under per-path ``weights``.
+    """Taps at ``rows`` of the grid (all by default) under per-path
+    ``weights`` of shape (..., paths) in table order; (..., rows, N_R, N_T).
 
-    Row ``i`` is ``A_r^T diag(pulse[i] * weights) conj(A_t)``, one small
-    (N_R x paths) @ (paths x N_T) product per tap.  Each tap's product
-    depends only on its own pulse row and the weights, so any subset of rows
-    renders bit for bit as it would within the full grid.  Folding all taps
-    into one (taps x paths) @ (paths x N_R*N_T) product is faster alone but
-    crosses the BLAS threading threshold and slows multi-drop runs.
+    Tap ``i`` is ``A_r^T diag(pulse[i] * w) conj(A_t)`` over the paths
+    covering it only: one (N_R x K) @ (K x N_T) product over the columns
+    ``lo[i]:hi[i]``, and exact zeros where K = 0.  One stacked call, still
+    one product per tap, covers either one row under all leading weight
+    axes or, for a single weight set, a run of rows with one range;
+    stacking rows under many weight sets too would multiply the
+    (sets, rows, N_R, K) temporary without saving time.  A product depends
+    only on its row's range, pulse row and weights, so any subset of rows
+    or weight sets renders bit for bit as within the full grid.
+
+    The products stay per tap because each is at most N_R * N_T * paths
+    multiply-adds, below OpenBLAS's threading threshold, so no thread count
+    can change how it is summed.  One product folding all taps (or all
+    snapshots) would cross that threshold and lose the guarantee.
     """
-    coeff = pulse * weights
-    return np.matmul(table.a_r.T * coeff[:, None, :], table.a_t.conj(), out=out)
+    if rows is None:
+        rows = range(grid.pulse.shape[0])
+    w = weights[..., grid.order]
+    if out is None:
+        shape = w.shape[:-1] + (len(rows), grid.a_r.shape[0], grid.a_t.shape[1])
+        out = np.empty(shape, dtype=np.complex128)
+    lo, hi = grid.lo[rows.start : rows.stop], grid.hi[rows.start : rows.stop]
+    if w.ndim == 1:
+        changes = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+        edges = [0, *changes, len(rows)]
+    else:
+        edges = range(len(rows) + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        cols = slice(lo[a], hi[a])
+        if cols.start == cols.stop:
+            out[..., a:b, :, :] = 0.0
+            continue
+        coeff = grid.pulse[rows.start + a : rows.start + b, cols] * w[..., None, cols]
+        np.matmul(grid.a_r[:, cols] * coeff[..., None, :], grid.a_t[cols], out=out[..., a:b, :, :])
+    return out
 
 
 def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]:
@@ -378,13 +435,13 @@ def sample_channel(
     shortest window holding at least ``1 - energy_threshold`` of the energy.
     """
     table = _path_table(real, arrays)
-    pulse, n_lo = _pulse_matrix(table, spec, oversampling)
-    grid = _render_taps(table, pulse, table.static_scale * table.base_gain)
-    start, width = _select_window(grid, energy_threshold)
+    grid = _tap_grid(table, spec, oversampling)
+    taps = _render_taps(grid, table.static_scale * table.base_gain)
+    start, width = _select_window(taps, energy_threshold)
     return SampledChannel(
-        taps=grid[start : start + width],
+        taps=taps[start : start + width],
         sample_period=spec.symbol_period / oversampling,
-        tap_offset=n_lo + start,
+        tap_offset=grid.n_lo + start,
     )
 
 

@@ -152,14 +152,38 @@ def _encode(obj, keys: dict) -> dict:
     return {key: _plain(getattr(obj, attr)) for key, attr in keys.items()}
 
 
-def _get(data: dict, key: str):
-    if key not in data:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The JSON kinds a sidecar value may have.  Per-ray keys hold lists of
+#: numbers and every other table key a number, except ``_SCALAR_KINDS``.
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+_SCALAR_KINDS = {"scenario": "a string", "present": "a boolean"}
+
+
+def _get(data: dict, key: str, kind: str):
+    if not isinstance(data, dict) or key not in data:
         raise ValueError(f"missing key {key!r}")
-    return data[key]
+    value = data[key]
+    if not _KINDS[kind](value):
+        raise ValueError(f"key {key!r} must be {kind}, got {value!r:.40}")
+    return value
 
 
-def _decode(data: dict, keys: dict) -> dict:
-    return {attr: _get(data, key) for key, attr in keys.items()}
+def _decode(data: dict, keys: dict, kind: str | None = None) -> dict:
+    """Each table key's value by attribute; ``kind`` overrides the table's."""
+    return {
+        attr: _get(data, key, kind or _SCALAR_KINDS.get(key, "a number"))
+        for key, attr in keys.items()
+    }
 
 
 def realization_to_dict(real: ChannelRealization) -> dict:
@@ -180,17 +204,19 @@ def realization_to_dict(real: ChannelRealization) -> dict:
 
 
 def realization_from_dict(data: dict) -> ChannelRealization:
-    """Inverse of :func:`realization_to_dict`.  A missing key, or per-ray
-    arrays of unequal length, raise ValueError naming the key or cluster."""
+    """Inverse of :func:`realization_to_dict`.  A missing key, a value of the
+    wrong JSON kind, or per-ray arrays of unequal length raise ValueError
+    naming the key or cluster."""
     clusters = []
-    for index, c in enumerate(_get(data, "clusters")):
-        rays = {attr: np.array(v) for attr, v in _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}).items()}
+    for index, c in enumerate(_get(data, "clusters", "a list of objects")):
+        per_ray = _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}, "a list of numbers")
+        rays = {attr: np.array(v, dtype=float) for attr, v in per_ray.items()}
         if len({a.shape for a in rays.values()}) > 1:
             raise ValueError(f"cluster {index}: per-ray arrays differ in length")
         rays["gains"] = rays.pop("real") + 1j * rays.pop("imag")
-        rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean"), _ANGLE_KEYS))
+        rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean", "an object"), _ANGLE_KEYS))
         clusters.append(ClusterRealization(**_decode(c, _CLUSTER_KEYS), **rays))
-    los = _get(data, "los")
+    los = _get(data, "los", "an object")
     return ChannelRealization(
         **_decode(data, _TOP_KEYS),
         geometry=LinkGeometry(**_decode(data, _GEOMETRY_KEYS)),
@@ -210,7 +236,8 @@ def read_realization_metadata(path) -> tuple[dict, ChannelRealization]:
     JSON or does not hold a valid realization raises ValueError naming it."""
     try:
         document = json.loads(Path(path).read_text())
-        return _get(document, "run"), realization_from_dict(_get(document, "realization"))
+        run = _get(document, "run", "an object")
+        return run, realization_from_dict(_get(document, "realization", "an object"))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

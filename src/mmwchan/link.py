@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import Boltzmann
 
 from .channel import SampledChannel, realize_channel, sample_channel
@@ -74,7 +75,8 @@ class StackedModel:
     """Symbol-spaced model of the beamformed link over a window of P taps.
 
     Stores the projected taps ``G(l) = D^H H(l) Q`` and the combiner ``D``;
-    the stacked signature matrices are materialized on demand.  Stacking a
+    only the signal signatures ``A`` are materialized (the test oracle
+    ``tests/link_oracle.py`` builds ``A_I`` and ``B``).  Stacking a
     window of P received vectors ``r(n) ... r(n+P-1)`` gives
     ``r_stack = A s(n) + A_I s_I(n) + B w_stack`` where ``s_I`` collects the
     2P-2 neighboring transmit vectors (past first, each side in increasing
@@ -99,22 +101,6 @@ class StackedModel:
         """A: (M P, M); block row l is G(l)."""
         p, m = self.n_taps, self.n_streams
         return self.projected_taps.reshape(p * m, m)
-
-    @property
-    def interference_signatures(self) -> np.ndarray:
-        """A_I: (M P, M (2P-2)); column block for offset m is G(j - m)."""
-        p, m = self.n_taps, self.n_streams
-        offsets = (*range(-(p - 1), 0), *range(1, p))
-        out = np.zeros((p, m, len(offsets), m), dtype=np.complex128)
-        for col, offset in enumerate(offsets):
-            rows = slice(max(offset, 0), min(p + offset, p))
-            out[rows, :, col] = self.projected_taps[rows.start - offset : rows.stop - offset]
-        return out.reshape(p * m, len(offsets) * m)
-
-    @property
-    def noise_map(self) -> np.ndarray:
-        """B: (M P, N_R P), block-diagonal with D^H repeated P times."""
-        return np.kron(np.eye(self.n_taps), self.combiner.conj().T)
 
 
 def design_beamformers(channel: SampledChannel, n_streams: int) -> BeamformerPair:
@@ -186,9 +172,11 @@ def _stacked_covariance(model: StackedModel, tx_power: float) -> np.ndarray:
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     lags = _lag_gram(G)
-    idx = np.arange(p)[:, None] - np.arange(p)[None, :] + (p - 1)
-    cov = lags[idx].transpose(0, 2, 1, 3).reshape(p * m, p * m)
-    cov *= tx_power / m
+    lags *= tx_power / m
+    # windows[k, :, :, j] is lag P-1-k-j, so reversing k puts lag i-j at
+    # block (i, j); the read-only view is copied once, writable for P = 1.
+    windows = sliding_window_view(lags[::-1], p, axis=0)[::-1]
+    cov = np.array(windows.transpose(0, 1, 3, 2), order="C").reshape(p * m, p * m)
     noise_block = model.noise_variance * (model.combiner.conj().T @ model.combiner)
     blocks = np.arange(p)
     cov.reshape(p, m, p, m)[blocks, :, blocks, :] += noise_block

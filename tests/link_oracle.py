@@ -1,6 +1,7 @@
 """Per-lag and per-offset reference link arithmetic, kept as a test oracle.
 
-These are the loop forms of the link layer's per-drop arithmetic: the tap
+These are the loop forms of the link layer's per-drop arithmetic: the
+explicit interference signatures ``A_I`` and noise map ``B``, the tap
 projection as one three-operand ``einsum``, one ``einsum`` per lag for the
 block-Toeplitz lag sums, a per-block noise add, and two ``einsum``s per
 interference offset in the rate.  The library computes the same formulas as
@@ -33,6 +34,22 @@ def build_stacked_model(channel, beamformers, noise_variance):
         combiner=beamformers.combiner,
         noise_variance=noise_variance,
     )
+
+
+def interference_signatures(model):
+    """A_I: (M P, M (2P-2)); column block for offset m is G(j - m)."""
+    p, m = model.n_taps, model.n_streams
+    offsets = (*range(-(p - 1), 0), *range(1, p))
+    out = np.zeros((p, m, len(offsets), m), dtype=np.complex128)
+    for col, offset in enumerate(offsets):
+        rows = slice(max(offset, 0), min(p + offset, p))
+        out[rows, :, col] = model.projected_taps[rows.start - offset : rows.stop - offset]
+    return out.reshape(p * m, len(offsets) * m)
+
+
+def noise_map(model):
+    """B: (M P, N_R P), block-diagonal with D^H repeated P times."""
+    return np.kron(np.eye(model.n_taps), model.combiner.conj().T)
 
 
 def lag_gram(G):

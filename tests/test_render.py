@@ -1,25 +1,43 @@
-"""Per-tap rendering against the per-ray oracle, and its bitwise contracts.
+"""Banded tap rendering against the per-ray oracle, and its bitwise contracts.
 
-The library renders each tap as one stacked product of steering matrices;
+The library sorts the paths by delay and renders each tap as one product of
+steering matrices over the paths whose truncated pulse covers it;
 ``render_oracle`` adds one outer product per ray onto the grid.  The sums run
 in a different order, so taps agree to a relative tolerance fixed from
 float64 round-off over ~100 terms, while the selected window must agree
 exactly; the two-pointer window scan must pick the oracle's window on
 arbitrary energies too.  The bitwise contracts (snapshot 0 equals the static tensor, the
 static limit is frozen, a realization read back from its metadata re-samples
-identically) are checked in the same configurations.
+identically) are checked in the same configurations.  The band itself is
+checked on arbitrary delays, any window of rows under any set of weights
+must render as within the full grid, and the tensor files must not depend
+on the BLAS thread count.
 """
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmwchan
 import render_oracle as oracle
-from mmwchan import MobilitySpec, ScenarioConfig, evolve_channel, realize_channel, sample_channel
-from mmwchan.channel import _select_window
+from mmwchan import (
+    MobilitySpec,
+    PulseSpec,
+    ScenarioConfig,
+    evolve_channel,
+    realize_channel,
+    sample_channel,
+)
+from mmwchan.channel import _path_table, _PathTable, _render_taps, _select_window, _tap_grid
+from mmwchan.geometry import RayAngles
 from mmwchan.io import read_realization_metadata, write_realization_metadata
 from mmwchan.sampling import RngStream
 
@@ -149,3 +167,145 @@ tap_energies = st.lists(
 def test_window_scan_matches_width_search(energies, threshold):
     grid = np.sqrt(np.array(energies, dtype=complex))[:, None, None]
     assert _select_window(grid, threshold) == oracle.select_window(grid, threshold)
+
+
+# -- the band ----------------------------------------------------------------
+
+SYMBOL_PERIOD = 2.0**-31
+
+
+def _table(delays, rng):
+    """Path table of unit-norm random steering vectors at ``delays``."""
+    n = len(delays)
+
+    def unit(*shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+    return _PathTable(
+        a_r=unit(n, 3),
+        a_t=unit(n, 4),
+        static_scale=rng.uniform(0.5, 2.0, n),
+        base_gain=unit(n, 1)[:, 0],
+        tau_rel=np.asarray(delays, dtype=float),
+        angles=RayAngles(*np.zeros((4, n))),
+        los_index=None,
+    )
+
+
+# Delays in symbol periods: repeated values make ties, and the spread lets
+# gaps exceed the truncated support (2 * 8 + 1 symbols) and leave rows bare.
+symbol_delays = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, 17.0, 40.0]), st.floats(0.0, 60.0)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    delays=symbol_delays,
+    los=st.booleans(),
+    half_length=st.integers(1, 8),
+    oversampling=st.integers(1, 3),
+)
+def test_band_holds_exactly_the_paths_covering_each_row(delays, los, half_length, oversampling):
+    if los:
+        delays = [*delays, 0.0]  # the direct path: last row, zero delay
+    tau = np.array(delays) * SYMBOL_PERIOD
+    spec = PulseSpec(SYMBOL_PERIOD, truncation_half_length=half_length)
+    grid = _tap_grid(_table(tau, np.random.default_rng(0)), spec, oversampling)
+
+    # Stable delay order: ties keep table order.
+    assert sorted(grid.order) == list(range(len(tau)))
+    assert all(
+        (tau[a], a) < (tau[b], b) for a, b in zip(grid.order[:-1], grid.order[1:])
+    )
+    # Each path's support, straight from the definition, in table order.
+    dt = SYMBOL_PERIOD / oversampling
+    starts = np.ceil((tau - half_length * SYMBOL_PERIOD) / dt).astype(int)
+    stops = np.floor((tau + half_length * SYMBOL_PERIOD) / dt).astype(int)
+    assert grid.n_lo == starts.min()
+    assert grid.pulse.shape == (stops.max() - starts.min() + 1, len(tau))
+    for i in range(grid.pulse.shape[0]):
+        n = grid.n_lo + i
+        covering = [q for q, p in enumerate(grid.order) if starts[p] <= n <= stops[p]]
+        assert covering == list(range(grid.lo[i], grid.hi[i])), i
+        assert set(np.flatnonzero(grid.pulse[i])) <= set(covering), i
+
+
+def _gapped_drop(rng):
+    """Paths in two groups far enough apart to leave uncovered rows, with
+    tied delays and the direct path last."""
+    symbols = [3.0, 3.0, 1.5, 40.25, 41.0, 40.25, 0.0]
+    return _table(np.array(symbols) * SYMBOL_PERIOD, rng), PulseSpec(SYMBOL_PERIOD)
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "gapped"])
+def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        if name == "gapped":
+            table, spec = _gapped_drop(rng)
+            grid = _tap_grid(table, spec, 1 + seed % 2)
+        else:
+            config, real = _drop(CONFIGS[name], seed)
+            table = _path_table(real, config.arrays())
+            grid = _tap_grid(table, config.pulse(), config.oversampling)
+        n_rows, n_paths = grid.pulse.shape
+        weights = rng.standard_normal((5, n_paths)) + 1j * rng.standard_normal((5, n_paths))
+        full = _render_taps(grid, weights)
+        bare = grid.lo == grid.hi
+        if name == "gapped":
+            assert bare.any()
+        assert not full[:, bare].any()
+
+        start = int(rng.integers(n_rows))
+        windows = [(start, start + 1), (0, n_rows), (start, int(rng.integers(start, n_rows)) + 1)]
+        if bare.any():
+            first_bare = int(np.flatnonzero(bare)[0])
+            windows.append((first_bare, first_bare + 1))
+        subsets = [[2], [0, 3, 4], rng.permutation(5)[:3]]
+        for a, b in windows:
+            for sub in subsets:
+                got = _render_taps(grid, weights[sub], range(a, b))
+                assert np.array_equal(got, full[sub, a:b]), (seed, a, b, sub)
+            got = _render_taps(grid, weights[1], range(a, b))
+            assert np.array_equal(got, full[1, a:b]), (seed, a, b)
+
+
+# Runs in a fresh interpreter: the BLAS thread count is fixed at load.
+_GENERATE = """
+import sys
+from mmwchan.cli import main
+out = sys.argv[1]
+for seed in range(3):
+    main(["generate-static", "--set", f"seed={seed}", "--output", f"{out}/s{seed}.mmwc"])
+    main(["generate-static", "--set", f"seed={seed}", "--set", "oversampling=2",
+          "--output", f"{out}/o{seed}.mmwc"])
+    main(["generate-dynamic", "--set", f"seed={seed}", "--set", "v_rx_mps=20",
+          "--set", "n_snapshots=32", "--output", f"{out}/d{seed}.mmwc"])
+"""
+
+
+def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(mmwchan.__file__).resolve().parents[1])
+    base = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    digests = {}
+    for threads in (None, "1", "2"):
+        env = dict(base, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", _GENERATE, str(out)], env=env, check=True, timeout=300
+        )
+        digests[threads] = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())
+        }
+    assert len(digests[None]) == 18  # 9 tensors, each with its sidecar
+    assert digests[None] == digests["1"] == digests["2"]

@@ -362,18 +362,16 @@ def _render_taps(
 
     Tap ``i`` is ``A_r^T diag(pulse[i] * w) conj(A_t)`` over the paths
     covering it only: one (N_R x K) @ (K x N_T) product over the columns
-    ``lo[i]:hi[i]``, and exact zeros where K = 0.  One stacked call, still
-    one product per tap, covers either one row under all leading weight
-    axes or, for a single weight set, a run of rows with one range;
-    stacking rows under many weight sets too would multiply the
-    (sets, rows, N_R, K) temporary without saving time.  A product depends
-    only on its row's range, pulse row and weights, so any subset of rows
-    or weight sets renders bit for bit as within the full grid.
+    ``lo[i]:hi[i]``, stacked over the leading weight axes, and exact zeros
+    where K = 0.
 
-    The products stay per tap because each is at most N_R * N_T * paths
-    multiply-adds, below OpenBLAS's threading threshold, so no thread count
-    can change how it is summed.  One product folding all taps (or all
-    snapshots) would cross that threshold and lose the guarantee.
+    The products stay per tap so that a tap depends only on its own range,
+    pulse row and weights: any subset of rows or weight sets renders bit for
+    bit as within the full grid, which is what keeps snapshot 0 and the
+    frozen limit of :func:`mmwchan.timevariant.evolve_channel` equal to the
+    static taps, also when those are recomputed in another process.  As a
+    precaution, each product is also at most N_R * N_T * paths
+    multiply-adds, below OpenBLAS's threading threshold.
     """
     if rows is None:
         rows = range(grid.pulse.shape[0])
@@ -381,19 +379,13 @@ def _render_taps(
     if out is None:
         shape = w.shape[:-1] + (len(rows), grid.a_r.shape[0], grid.a_t.shape[1])
         out = np.empty(shape, dtype=np.complex128)
-    lo, hi = grid.lo[rows.start : rows.stop], grid.hi[rows.start : rows.stop]
-    if w.ndim == 1:
-        changes = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-        edges = [0, *changes, len(rows)]
-    else:
-        edges = range(len(rows) + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        cols = slice(lo[a], hi[a])
+    for a, i in enumerate(rows):
+        cols = slice(grid.lo[i], grid.hi[i])
         if cols.start == cols.stop:
-            out[..., a:b, :, :] = 0.0
+            out[..., a, :, :] = 0.0
             continue
-        coeff = grid.pulse[rows.start + a : rows.start + b, cols] * w[..., None, cols]
-        np.matmul(grid.a_r[:, cols] * coeff[..., None, :], grid.a_t[cols], out=out[..., a:b, :, :])
+        coeff = grid.pulse[i, cols] * w[..., cols]
+        np.matmul(grid.a_r[:, cols] * coeff[..., None, :], grid.a_t[cols], out=out[..., a, :, :])
     return out
 
 

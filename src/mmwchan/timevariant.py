@@ -12,9 +12,8 @@ snapshots 1 ... N-1 then render only the window's rows, in one call stacked
 over the snapshots that still runs one product per tap and snapshot.  Each
 tap's product sees the same path range, pulse row and weights either way,
 so snapshot 0 reproduces the static channel bit for bit, and so does every
-snapshot in the static limit (zero velocity, coefficient 1).  Folding the
-snapshots into one product would cross the BLAS threading threshold
-(see :func:`mmwchan.channel._render_taps`).
+snapshot in the static limit (zero velocity, coefficient 1); see
+:func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations

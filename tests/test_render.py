@@ -274,6 +274,41 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
             assert np.array_equal(got, full[1, a:b]), (seed, a, b)
 
 
+@pytest.mark.parametrize("name", CONFIGS)
+def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
+    """Every product the render hands to BLAS is one tap's (N_R x K) @
+    (K x N_T) with K <= paths, one per covered tap (and snapshot): a render
+    that folds taps or snapshots into one product fails here on any machine,
+    while the thread test below can only show what this machine's BLAS does."""
+    config, real = _drop(CONFIGS[name], 3)
+    config = dataclasses.replace(config, v_rx_mps=20.0, n_snapshots=8)
+    arrays = config.arrays()
+    n_r, n_t = arrays.rx.n_elements, arrays.tx.n_elements
+    table = _path_table(real, arrays)
+    grid = _tap_grid(table, config.pulse(), config.oversampling)
+    n_paths = len(table.tau_rel)
+    covered = grid.lo < grid.hi
+
+    products = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, *args, **kwargs):
+        assert a.shape[-2] == n_r and b.shape[1:] == (n_t,) and b.ndim == 2
+        assert 1 <= a.shape[-1] == b.shape[0] <= n_paths
+        products.append(int(np.prod(a.shape[:-2])))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    _sample(config, real)
+    assert sum(products) == covered.sum()
+
+    products.clear()
+    moving = _evolve(config, real, config.mobility(), 3)
+    start = moving.tap_offset - grid.n_lo
+    in_window = covered[start : start + moving.snapshots.shape[1]].sum()
+    assert sum(products) == covered.sum() + (config.n_snapshots - 1) * in_window
+
+
 # Runs in a fresh interpreter: the BLAS thread count is fixed at load.
 _GENERATE = """
 import sys

@@ -279,7 +279,7 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     """Every product the render hands to BLAS is one tap's (N_R x K) @
     (K x N_T) with K <= paths, one per covered tap (and snapshot): a render
     that folds taps or snapshots into one product fails here on any machine,
-    while the thread test below can only show what this machine's BLAS does."""
+    while the thread test below can only show what the BLAS it runs on does."""
     config, real = _drop(CONFIGS[name], 3)
     config = dataclasses.replace(config, v_rx_mps=20.0, n_snapshots=8)
     arrays = config.arrays()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -128,6 +129,8 @@ def cmd_generate_dynamic(args) -> int:
 
 
 def cmd_eval_cdf(args) -> int:
+    if args.jobs < 1:
+        raise SystemExit(f"--jobs must be an integer >= 1, got {args.jobs}")
     config = _load_config(args)
     result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)
@@ -152,7 +155,10 @@ def cmd_eval_cdf(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, so successive :func:`main` calls can share it."""
     parser = argparse.ArgumentParser(
         prog="mmwchan",
         description="Clustered statistical mmWave MIMO channel simulator",

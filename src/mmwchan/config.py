@@ -144,6 +144,10 @@ class ScenarioConfig:
             )
 
 
+#: Type of every configuration key, resolved once from the annotations.
+_KEY_TYPES: dict[str, object] = typing.get_type_hints(ScenarioConfig)
+
+
 @dataclass(frozen=True)
 class _Interval:
     """Numeric range with open ``(`` or closed ``[`` ends; ``auto`` also
@@ -240,7 +244,6 @@ def parse_config(path=None, overrides=None) -> ScenarioConfig:
     file.  Unknown keys, keys repeated in the file and malformed values
     raise ValueError naming the key; omitted keys take their defaults.
     """
-    known = typing.get_type_hints(ScenarioConfig)
     raw: dict[str, str] = {}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -253,16 +256,16 @@ def parse_config(path=None, overrides=None) -> ScenarioConfig:
                 )
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: duplicate configuration key '{key}'")
             raw[key] = value.strip()
     for key, value in (overrides or {}).items():
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ValueError(f"unknown configuration key '{key}'")
         raw[key] = value
-    values = {key: _convert(key, text, known[key]) for key, text in raw.items()}
+    values = {key: _convert(key, text, _KEY_TYPES[key]) for key, text in raw.items()}
     config = ScenarioConfig(**values)
     config.validate()
     return config

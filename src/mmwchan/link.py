@@ -9,6 +9,7 @@ inter-symbol interference from neighboring transmit vectors as noise.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -333,8 +334,10 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     """Monte-Carlo rate CDF over ``config.n_trials`` independent drops.
 
     Drop k always runs on substream k of the configured seed, so the result
-    is byte-identical for any ``n_jobs``.
+    is byte-identical for any ``n_jobs``, which must be an integer >= 1.
     """
+    if not isinstance(n_jobs, numbers.Integral) or n_jobs < 1:
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     config.validate()
     trials = range(config.n_trials)
     if n_jobs == 1:

@@ -9,6 +9,7 @@ machines, and degrees of trial parallelism.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ def sample_cluster_count(lam: float, rng: np.random.Generator, size=None):
     Inversion consumes exactly one uniform per draw, which keeps the stream
     layout independent of the rate parameter.
     """
-    if lam <= 0:
-        raise ValueError(f"Poisson rate must be positive, got {lam!r}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
     cdf = _poisson_cdf_table(lam)
     u = rng.random(size)
     counts = np.searchsorted(cdf, u, side="left")
@@ -88,8 +89,8 @@ def sample_laplacian(mean, std, rng: np.random.Generator, size=None):
     The scale parameter is ``std / sqrt(2)`` so the returned variate has
     standard deviation ``std`` exactly.
     """
-    if std < 0:
-        raise ValueError(f"standard deviation must be nonnegative, got {std!r}")
+    if not 0.0 <= std < np.inf:
+        raise ValueError(f"std must be finite and >= 0, got {std!r}")
     return rng.laplace(loc=mean, scale=std / np.sqrt(2.0), size=size)
 
 
@@ -119,9 +120,11 @@ def ar1_complex_sequence(
     innovations are consumed.
     """
     if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"AR(1) coefficient must lie in [0, 1], got {rho!r}")
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n!r}")
+        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be a finite integer >= 1, got {n!r}")
+    if not 0.0 <= variance < np.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
     if initial is None:
         initial = np.sqrt(variance) * sample_complex_gain(rng)
     x = np.empty((n,) + np.shape(initial), dtype=np.complex128)

@@ -8,16 +8,20 @@ phase wanders.
 Snapshots are rendered by the banded per-tap products of
 :mod:`mmwchan.channel` with per-snapshot weights.  Snapshot 0 goes through
 the same full-grid render as static sampling and fixes the tap window;
-snapshots 1 ... N-1 then render only the window's rows, in one call stacked
-over the snapshots that still runs one product per tap and snapshot.  Each
-tap's product sees the same path range, pulse row and weights either way,
-so snapshot 0 reproduces the static channel bit for bit, and so does every
+snapshots 1 ... N-1 then render only the window's rows, split into
+contiguous blocks, one per usable core, rendered concurrently.  Every block
+still runs one product per tap and snapshot, and each tap's product sees
+the same path range, pulse row and weights whichever block or thread runs
+it, so the bits depend on neither the block count nor the core count.
+Snapshot 0 reproduces the static channel bit for bit, and so does every
 snapshot in the static limit (zero velocity, coefficient 1); see
 :func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ from .channel import (
     _render_taps,
     _select_window,
     _tap_grid,
+    _TapGrid,
 )
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
@@ -111,6 +116,47 @@ def default_gain_correlation(mob: MobilitySpec, carrier_frequency: float) -> flo
     return float(np.clip(np.exp(-2.0 * np.pi * nu_max * mob.snapshot_period), 0.0, 1.0))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _render_moving(
+    grid: _TapGrid, weights: np.ndarray, rows: range, snapshots: np.ndarray
+) -> None:
+    """Render snapshots 1 ... N-1 at ``rows`` into ``snapshots`` in place.
+
+    The snapshots are split into contiguous blocks, one per usable core;
+    block 0 renders in the calling thread and the others in helper threads
+    (numpy releases the GIL in the products).  Every helper's result is
+    taken, so an exception in any block reaches the caller.  The helpers
+    live for one call only: a module-level pool's threads would not survive
+    the fork of a process pool, and would sit idle in library callers.
+    """
+    moving = snapshots.shape[0] - 1
+    if moving == 0:
+        return
+    n_blocks = min(_usable_cores(), moving)
+    edges = [1 + moving * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def render(block: slice) -> None:
+        _render_taps(grid, weights[block], rows, out=snapshots[block])
+
+    if n_blocks == 1:
+        render(blocks[0])
+        return
+    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
+        helpers = [pool.submit(render, block) for block in blocks[1:]]
+        render(blocks[0])
+        for helper in helpers:
+            helper.result()
+
+
 def evolve_channel(
     real: ChannelRealization,
     arrays: ArrayPair,
@@ -152,7 +198,7 @@ def evolve_channel(
     start, width = _select_window(taps, energy_threshold)
     snapshots = np.empty((n_snap, width) + taps.shape[1:], dtype=np.complex128)
     snapshots[0] = taps[start : start + width]
-    _render_taps(grid, weights[1:], range(start, start + width), out=snapshots[1:])
+    _render_moving(grid, weights, range(start, start + width), snapshots)
     return TimeVariantChannel(
         snapshots=snapshots,
         sample_period=spec.symbol_period / oversampling,

@@ -158,6 +158,25 @@ def test_invalid_value_exits_with_key_name(tmp_path):
         )
     with pytest.raises(SystemExit, match="configuration error: 'distance_m'"):
         run_cli("eval-cdf", "--set", "distance_m=nan", "--output", tmp_path / "x.csv")
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit, match="--jobs must be an integer >= 1"):
+            run_cli("eval-cdf", "--jobs", jobs, "--output", tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_successive_calls_do_not_share_overrides(tmp_path):
+    # main() reuses one parser; each call must still see only its own --set.
+    for seed in (3, 4):
+        run_cli(
+            "generate-static", "--set", f"seed={seed}", "--output", tmp_path / f"{seed}.mmwc"
+        )
+    run_cli("generate-static", "--output", tmp_path / "default.mmwc")
+    configs = [
+        json.loads((tmp_path / f"{name}.json").read_text())["run"]["config"]
+        for name in ("3", "4", "default")
+    ]
+    assert [c["seed"] for c in configs] == [3, 4, 0]
+    assert configs[0] != configs[1]
 
 
 def test_missing_subcommand_is_usage_error():

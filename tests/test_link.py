@@ -349,6 +349,12 @@ def test_cdf_experiment_shape_and_order():
     assert np.all(result.spectral_efficiency >= 0)
 
 
+@pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", None])
+def test_cdf_experiment_rejects_bad_job_count_by_name(n_jobs):
+    with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
+        run_cdf_experiment(ScenarioConfig(n_trials=2), n_jobs=n_jobs)
+
+
 def test_cdf_experiment_parallel_matches_serial():
     config = ScenarioConfig(seed=7, n_trials=8)
     serial = run_cdf_experiment(config, n_jobs=1)

@@ -29,6 +29,7 @@ from mmwchan.io import (
     write_static_channel,
 )
 from mmwchan.propagation import SCENARIOS
+from mmwchan.sampling import ar1_complex_sequence, sample_cluster_count, sample_laplacian
 from mmwchan.timevariant import TimeVariantChannel
 
 FLOAT_KEYS = [
@@ -79,6 +80,11 @@ COMPONENT_FIELDS = {
     "distance": lambda x: LinkGeometry(x, 7.0, 1.0),
     "tx_height": lambda x: LinkGeometry(30.0, x, 1.0),
     "rx_height": lambda x: LinkGeometry(30.0, 7.0, x),
+    # the sampling helpers, whose arguments are checked like fields
+    "lam": lambda x: sample_cluster_count(x, np.random.default_rng(0)),
+    "std": lambda x: sample_laplacian(0.0, x, np.random.default_rng(0)),
+    "variance": lambda x: ar1_complex_sequence(0.5, 4, x, np.random.default_rng(0)),
+    "n": lambda x: ar1_complex_sequence(0.5, x, 1.0, np.random.default_rng(0)),
 }
 
 
@@ -90,10 +96,18 @@ def test_non_finite_component_field_is_rejected_by_name(field, value):
         COMPONENT_FIELDS[field](value)
 
 
-@pytest.mark.parametrize("field", ["truncation_half_length", "n_snapshots"])
+@pytest.mark.parametrize("field", ["truncation_half_length", "n_snapshots", "n"])
 def test_fractional_count_field_is_rejected_by_name(field):
     with pytest.raises(ValueError, match=f"{field} must be a finite integer"):
         COMPONENT_FIELDS[field](2.5)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("lam", 0.0), ("lam", -1.0), ("std", -1.0), ("variance", -1.0), ("n", 0)]
+)
+def test_out_of_range_sampling_argument_is_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        COMPONENT_FIELDS[field](value)
 
 
 def floats(low=None, high=None, exclude_low=False, exclude_high=False):

@@ -10,8 +10,9 @@ arbitrary energies too.  The bitwise contracts (snapshot 0 equals the static ten
 static limit is frozen, a realization read back from its metadata re-samples
 identically) are checked in the same configurations.  The band itself is
 checked on arbitrary delays, any window of rows under any set of weights
-must render as within the full grid, and the tensor files must not depend
-on the BLAS thread count.
+must render as within the full grid, the moving snapshots must not depend
+on how many blocks render them, and the tensor files must not depend on the
+BLAS thread count or the usable cores.
 """
 
 import dataclasses
@@ -19,6 +20,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 
 import mmwchan
 import render_oracle as oracle
+from mmwchan import timevariant
 from mmwchan import (
     MobilitySpec,
     PulseSpec,
@@ -309,6 +313,56 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     assert sum(products) == covered.sum() + (config.n_snapshots - 1) * in_window
 
 
+def _first_snapshot(block):
+    """Index of a block's first snapshot in the array it is a view of."""
+    return (block.ctypes.data - block.base.ctypes.data) // block.base.strides[0]
+
+
+@pytest.mark.parametrize("n_snapshots", [2, 3, 8, 64])
+def test_moving_snapshots_do_not_depend_on_block_count(n_snapshots, monkeypatch):
+    """Any number of blocks renders the bits of one block, and a single
+    moving snapshot (N = 2) or a single core starts no thread."""
+    config, real = _drop(CONFIGS["oversampling2"], 5)
+    mob = MobilitySpec(v_rx=20.0, v_tx=3.0, snapshot_period=1e-6, n_snapshots=n_snapshots)
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(timevariant, "ThreadPoolExecutor", RecordingPool)
+    one_block = None
+    for cores in (1, 2, 3, 5, 64):
+        monkeypatch.setattr(timevariant, "_usable_cores", lambda: cores)
+        pools.clear()
+        got = _evolve(config, real, mob, 5).snapshots
+        n_blocks = min(cores, n_snapshots - 1)
+        assert pools == ([n_blocks - 1] if n_blocks > 1 else []), cores
+        if one_block is None:
+            one_block = got
+        assert np.array_equal(got, one_block), cores
+
+
+@pytest.mark.skipif(timevariant._usable_cores() < 2, reason="needs 2 usable cores")
+def test_error_in_a_helper_block_reaches_the_caller(monkeypatch):
+    config, real = _drop(CONFIGS["defaults"], 3)
+    mob = MobilitySpec(v_rx=20.0, snapshot_period=1e-6, n_snapshots=8)
+    render = timevariant._render_taps
+    failed = []
+
+    def render_failing_later_blocks(grid, weights, rows=None, out=None):
+        if out is not None and _first_snapshot(out) != 1:
+            failed.append(threading.current_thread() is threading.main_thread())
+            raise RuntimeError("block failed")
+        return render(grid, weights, rows, out=out)
+
+    monkeypatch.setattr(timevariant, "_render_taps", render_failing_later_blocks)
+    with pytest.raises(RuntimeError, match="block failed"):
+        _evolve(config, real, mob, 3)
+    assert failed and not any(failed)  # raised in helper threads only
+
+
 # Runs in a fresh interpreter: the BLAS thread count is fixed at load.
 _GENERATE = """
 import sys
@@ -323,6 +377,16 @@ for seed in range(3):
 """
 
 
+# Prepended to _GENERATE: the child may run on one core only, so
+# evolve_channel renders its moving snapshots in one block.
+_ONE_CORE = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from mmwchan.timevariant import _usable_cores
+assert _usable_cores() == 1
+"""
+
+
 def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(mmwchan.__file__).resolve().parents[1])
     base = {
@@ -330,17 +394,23 @@ def test_tensor_bytes_do_not_depend_on_blas_threads(tmp_path):
         if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     }
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    children = {f"threads-{t}": (t, "") for t in (None, "1", "2")}
+    if hasattr(os, "sched_setaffinity"):
+        children["one-core"] = (None, _ONE_CORE)
     digests = {}
-    for threads in (None, "1", "2"):
+    for name, (threads, prelude) in children.items():
         env = dict(base, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
-        out = tmp_path / f"threads-{threads}"
+        out = tmp_path / name
         out.mkdir()
         subprocess.run(
-            [sys.executable, "-c", _GENERATE, str(out)], env=env, check=True, timeout=300
+            [sys.executable, "-c", prelude + _GENERATE, str(out)],
+            env=env, check=True, timeout=300,
         )
-        digests[threads] = {
+        digests[name] = {
             f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(out.iterdir())
         }
-    assert len(digests[None]) == 18  # 9 tensors, each with its sidecar
-    assert digests[None] == digests["1"] == digests["2"]
+    reference = digests["threads-None"]
+    assert len(reference) == 18  # 9 tensors, each with its sidecar
+    for name, digest in digests.items():
+        assert digest == reference, name

@@ -20,6 +20,7 @@ snapshot in the static limit (zero velocity, coefficient 1); see
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ class MobilitySpec:
             raise ValueError(
                 f"snapshot_period must be finite and > 0, got {self.snapshot_period!r}"
             )
-        if not 1 <= self.n_snapshots < np.inf or self.n_snapshots % 1:
+        if not isinstance(self.n_snapshots, numbers.Integral) or self.n_snapshots < 1:
             raise ValueError(f"n_snapshots must be a finite integer >= 1, got {self.n_snapshots}")
         if self.gain_correlation is not None and not 0.0 <= self.gain_correlation <= 1.0:
             raise ValueError(

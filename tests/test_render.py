@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 import mmwchan
 import render_oracle as oracle
-from mmwchan import timevariant
 from mmwchan import (
     MobilitySpec,
     PulseSpec,
@@ -39,6 +38,7 @@ from mmwchan import (
     evolve_channel,
     realize_channel,
     sample_channel,
+    timevariant,
 )
 from mmwchan.channel import _path_table, _PathTable, _render_taps, _select_window, _tap_grid
 from mmwchan.geometry import RayAngles
@@ -332,16 +332,14 @@ def test_moving_snapshots_do_not_depend_on_block_count(n_snapshots, monkeypatch)
             super().__init__(max_workers)
 
     monkeypatch.setattr(timevariant, "ThreadPoolExecutor", RecordingPool)
-    one_block = None
+    snapshots = {}
     for cores in (1, 2, 3, 5, 64):
         monkeypatch.setattr(timevariant, "_usable_cores", lambda: cores)
         pools.clear()
-        got = _evolve(config, real, mob, 5).snapshots
+        snapshots[cores] = _evolve(config, real, mob, 5).snapshots
         n_blocks = min(cores, n_snapshots - 1)
         assert pools == ([n_blocks - 1] if n_blocks > 1 else []), cores
-        if one_block is None:
-            one_block = got
-        assert np.array_equal(got, one_block), cores
+        assert np.array_equal(snapshots[cores], snapshots[1]), cores
 
 
 @pytest.mark.skipif(timevariant._usable_cores() < 2, reason="needs 2 usable cores")

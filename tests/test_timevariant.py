@@ -70,6 +70,9 @@ def test_mobility_spec_validation():
         MobilitySpec(snapshot_period=0.0)
     with pytest.raises(ValueError):
         MobilitySpec(n_snapshots=0)
+    # evolve_channel sizes arrays by it, so an integral float is no count
+    with pytest.raises(ValueError, match="n_snapshots must be a finite integer"):
+        MobilitySpec(n_snapshots=4.0)
     with pytest.raises(ValueError):
         MobilitySpec(gain_correlation=1.5)
 

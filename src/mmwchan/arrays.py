@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import COUNT, POSITIVE, admissible, check_fields
+
 __all__ = ["PlanarArray", "ArrayPair", "steering_vector"]
 
 
@@ -18,20 +20,11 @@ class PlanarArray:
     is the inter-element spacing as a fraction of the carrier wavelength.
     """
 
-    horizontal: int
-    vertical: int
-    spacing_wavelengths: float = 0.5
+    horizontal: int = admissible(COUNT)
+    vertical: int = admissible(COUNT)
+    spacing_wavelengths: float = admissible(POSITIVE, 0.5)
 
-    def __post_init__(self):
-        if self.horizontal < 1 or self.vertical < 1:
-            raise ValueError(
-                f"array needs at least one element per axis, got "
-                f"{self.horizontal}x{self.vertical}"
-            )
-        if not 0.0 < self.spacing_wavelengths < np.inf:
-            raise ValueError(
-                f"spacing_wavelengths must be finite and > 0, got {self.spacing_wavelengths!r}"
-            )
+    __post_init__ = check_fields
 
     @property
     def n_elements(self) -> int:

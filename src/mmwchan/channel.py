@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._bounds import COUNT, UNIT_OPEN, check
 from .arrays import ArrayPair, steering_vector
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -329,8 +330,7 @@ class _TapGrid:
 def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid:
     """Sort the paths by delay and lay their truncated pulses on the grid
     covering every path's support."""
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError(f"oversampling must be a positive integer, got {oversampling!r}")
+    check("oversampling", oversampling, COUNT, integer=True)
     order = np.argsort(table.tau_rel, kind="stable")
     tau = table.tau_rel[order]
     dt = spec.symbol_period / oversampling
@@ -396,8 +396,7 @@ def _render_taps(
 def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]:
     """Leftmost shortest contiguous tap window keeping >= (1 - threshold)
     of the total energy.  Returns (start index, length)."""
-    if not 0.0 < energy_threshold < 1.0:
-        raise ValueError(f"energy threshold must lie in (0, 1), got {energy_threshold!r}")
+    check("energy_threshold", energy_threshold, UNIT_OPEN)
     energy = np.einsum("prt,prt->p", grid, grid.conj()).real
     total = float(energy.sum())
     if total <= 0.0:

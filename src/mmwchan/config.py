@@ -1,20 +1,23 @@
 """Run configuration: a flat, diffable ``key = value`` text format.
 
 Every knob of the simulator is one top-level key typed by the
-:class:`ScenarioConfig` field it fills.  ``auto`` selects the documented
-default for the optional keys (thermal noise, snapshot spacing, gain
-correlation).
+:class:`ScenarioConfig` field it fills, and each field declares the values
+it admits: an interval or a tuple of choices, checked by
+:meth:`ScenarioConfig.validate`.  ``auto`` selects the documented default
+for the optional keys (thermal noise, snapshot spacing, gain correlation).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 import types
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._bounds import (
+    COUNT, FINITE, NON_NEGATIVE, POSITIVE, POSITIVE_OR_AUTO, UNIT_CLOSED_OR_AUTO, UNIT_HALF_OPEN,
+    UNIT_OPEN, _Interval, admissible, check, check_fields,
+)
 from .arrays import ArrayPair, PlanarArray
 from .geometry import SPEED_OF_LIGHT, LinkGeometry
 from .propagation import SCENARIOS
@@ -31,46 +34,46 @@ class ScenarioConfig:
     """All run parameters, one field per configuration key."""
 
     # deployment
-    scenario: str = "umi-street-canyon"
-    carrier_frequency_hz: float = 73e9
-    distance_m: float = 30.0
-    tx_height_m: float = 7.0
-    rx_height_m: float = 1.0
+    scenario: str = admissible(SCENARIOS, "umi-street-canyon")
+    carrier_frequency_hz: float = admissible(POSITIVE, 73e9)
+    distance_m: float = admissible(POSITIVE, 30.0)
+    tx_height_m: float = admissible(POSITIVE, 7.0)
+    rx_height_m: float = admissible(POSITIVE, 1.0)
     # arrays
-    rx_horizontal: int = 5
-    rx_vertical: int = 4
-    tx_horizontal: int = 6
-    tx_vertical: int = 5
-    spacing_wavelengths: float = 0.5
-    rx_orientation_rad: float = 0.0
+    rx_horizontal: int = admissible(COUNT, 5)
+    rx_vertical: int = admissible(COUNT, 4)
+    tx_horizontal: int = admissible(COUNT, 6)
+    tx_vertical: int = admissible(COUNT, 5)
+    spacing_wavelengths: float = admissible(POSITIVE, 0.5)
+    rx_orientation_rad: float = admissible(FINITE, 0.0)
     # clustering
-    cluster_rate: float = 1.9
-    angle_spread_deg: float = 5.0
-    max_distance_factor: float = 1.75
-    shadow_per_cluster: bool = False
-    scattered_pathloss: str = "nlos"  # or "follow-los"
+    cluster_rate: float = admissible(POSITIVE, 1.9)
+    angle_spread_deg: float = admissible(NON_NEGATIVE, 5.0)
+    max_distance_factor: float = admissible(POSITIVE, 1.75)
+    shadow_per_cluster: bool = admissible((False, True), False)
+    scattered_pathloss: str = admissible(("nlos", "follow-los"), "nlos")
     # pulse / sampling
-    rolloff: float = 0.22
-    bandwidth_hz: float = 500e6
-    truncation_half_length: int = 8
-    oversampling: int = 1
-    energy_threshold: float = 1e-4
+    rolloff: float = admissible(UNIT_HALF_OPEN, 0.22)
+    bandwidth_hz: float = admissible(POSITIVE, 500e6)
+    truncation_half_length: int = admissible(COUNT, 8)
+    oversampling: int = admissible(COUNT, 1)
+    energy_threshold: float = admissible(UNIT_OPEN, 1e-4)
     # randomness
-    seed: int = 0
+    seed: int = admissible(NON_NEGATIVE, 0)
     # mobility
-    v_rx_mps: float = 0.0
-    v_tx_mps: float = 0.0
-    gain_correlation: float | None = None
-    snapshot_period_s: float | None = None
-    n_snapshots: int = 10
+    v_rx_mps: float = admissible(FINITE, 0.0)
+    v_tx_mps: float = admissible(FINITE, 0.0)
+    gain_correlation: float | None = admissible(UNIT_CLOSED_OR_AUTO, None)
+    snapshot_period_s: float | None = admissible(POSITIVE_OR_AUTO, None)
+    n_snapshots: int = admissible(COUNT, 10)
     # link evaluation
-    n_streams: int = 4
-    tx_power_w: float = 1.0
-    noise_figure_db: float = 5.0
-    noise_temperature_k: float = 290.0
-    noise_variance_w: float | None = None
-    n_trials: int = 500
-    se_normalization: str = "excess-bandwidth"  # or "none"
+    n_streams: int = admissible(COUNT, 4)
+    tx_power_w: float = admissible(POSITIVE, 1.0)
+    noise_figure_db: float = admissible(FINITE, 5.0)
+    noise_temperature_k: float = admissible(POSITIVE, 290.0)
+    noise_variance_w: float | None = admissible(POSITIVE_OR_AUTO, None)
+    n_trials: int = admissible(COUNT, 500)
+    se_normalization: str = admissible(("excess-bandwidth", "none"), "excess-bandwidth")
 
     # -- derived quantities ------------------------------------------------
 
@@ -123,90 +126,17 @@ class ScenarioConfig:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise ValueError naming the offending key on any bad setting:
-        a value outside its set in :data:`_ADMISSIBLE`, a float that is not
-        finite, a non-integer for an ``int`` key, or more streams than the
-        smaller array has elements."""
-        for f in fields(self):
-            key, value, allowed = f.name, getattr(self, f.name), _ADMISSIBLE[f.name]
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"'{key}' must be finite, got {value!r}")
-            if f.type == "int" and not isinstance(value, numbers.Integral):
-                raise ValueError(f"'{key}' must be an integer, got {value!r}")
-            if value not in allowed:
-                what = f"in {allowed}" if isinstance(allowed, _Interval) else f"one of {allowed}"
-                raise ValueError(f"'{key}' must be {what}, got {value!r}")
+        """Raise ValueError naming the offending key on any bad setting: a
+        value outside the set its field declares (which also rejects NaN,
+        infinities and a non-integer for an ``int`` key), or more streams
+        than the smaller array has elements."""
+        check_fields(self, "'{}'")
         limit = min(self.rx_horizontal * self.rx_vertical, self.tx_horizontal * self.tx_vertical)
-        if self.n_streams > limit:
-            raise ValueError(
-                f"'n_streams' must lie in [1, {limit}] for these arrays, "
-                f"got {self.n_streams!r}"
-            )
+        check("'n_streams'", self.n_streams, _Interval(1, limit, "[]"), integer=True)
 
 
 #: Type of every configuration key, resolved once from the annotations.
 _KEY_TYPES: dict[str, object] = typing.get_type_hints(ScenarioConfig)
-
-
-@dataclass(frozen=True)
-class _Interval:
-    """Numeric range with open ``(`` or closed ``[`` ends; ``auto`` also
-    admits ``None``.  NaN lies in no interval."""
-
-    low: float
-    high: float
-    ends: str = "()"
-    auto: bool = False
-
-    def __contains__(self, value) -> bool:
-        if value is None:
-            return self.auto
-        above = self.low < value if self.ends[0] == "(" else self.low <= value
-        below = value < self.high if self.ends[1] == ")" else value <= self.high
-        return above and below
-
-    def __str__(self) -> str:
-        text = f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
-        return text + " or auto" if self.auto else text
-
-
-_INF = math.inf
-
-#: Admissible values of every configuration key: a tuple of choices or an
-#: interval.  Each :class:`ScenarioConfig` field must have an entry.
-_ADMISSIBLE: dict[str, object] = {
-    "scenario": tuple(SCENARIOS),
-    "scattered_pathloss": ("nlos", "follow-los"),
-    "se_normalization": ("excess-bandwidth", "none"),
-    "shadow_per_cluster": (False, True),
-    **dict.fromkeys(
-        (
-            "carrier_frequency_hz", "distance_m", "tx_height_m", "rx_height_m",
-            "spacing_wavelengths", "cluster_rate", "max_distance_factor",
-            "bandwidth_hz", "tx_power_w", "noise_temperature_k",
-        ),
-        _Interval(0.0, _INF),
-    ),
-    **dict.fromkeys(
-        (
-            "rx_horizontal", "rx_vertical", "tx_horizontal", "tx_vertical",
-            "truncation_half_length", "oversampling", "n_snapshots", "n_streams",
-            "n_trials",
-        ),
-        _Interval(1, _INF, "[)"),
-    ),
-    **dict.fromkeys(
-        ("rx_orientation_rad", "v_rx_mps", "v_tx_mps", "noise_figure_db"),
-        _Interval(-_INF, _INF),
-    ),
-    **dict.fromkeys(("angle_spread_deg", "seed"), _Interval(0, _INF, "[)")),
-    "rolloff": _Interval(0.0, 1.0, "(]"),
-    "energy_threshold": _Interval(0.0, 1.0),
-    "gain_correlation": _Interval(0.0, 1.0, "[]", auto=True),
-    **dict.fromkeys(
-        ("snapshot_period_s", "noise_variance_w"), _Interval(0.0, _INF, auto=True)
-    ),
-}
 
 
 def _convert(key: str, text: str, target) -> object:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from ._bounds import POSITIVE, admissible, check_fields
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "LinkGeometry",
@@ -22,14 +24,11 @@ __all__ = [
 class LinkGeometry:
     """Transmitter/receiver placement: ground separation and antenna heights."""
 
-    distance: float
-    tx_height: float
-    rx_height: float
+    distance: float = admissible(POSITIVE)
+    tx_height: float = admissible(POSITIVE)
+    rx_height: float = admissible(POSITIVE)
 
-    def __post_init__(self):
-        for name in ("distance", "tx_height", "rx_height"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+    __post_init__ = check_fields
 
     @property
     def slant_range(self) -> float:

@@ -9,7 +9,6 @@ inter-symbol interference from neighboring transmit vectors as noise.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import Boltzmann
 
+from ._bounds import COUNT, FINITE, POSITIVE, _Interval, check
 from .channel import SampledChannel, realize_channel, sample_channel
 from .sampling import RngStream
 
@@ -48,12 +48,9 @@ def thermal_noise_variance(
     temperature_k: float = 290.0,
 ) -> float:
     """Receiver noise power k_B * T * W * F in watts."""
-    if not 0.0 < bandwidth_hz < np.inf:
-        raise ValueError(f"bandwidth_hz must be finite and > 0, got {bandwidth_hz!r}")
-    if not -np.inf < noise_figure_db < np.inf:
-        raise ValueError(f"noise_figure_db must be finite, got {noise_figure_db!r}")
-    if not 0.0 < temperature_k < np.inf:
-        raise ValueError(f"temperature_k must be finite and > 0, got {temperature_k!r}")
+    check("bandwidth_hz", bandwidth_hz, POSITIVE)
+    check("noise_figure_db", noise_figure_db, FINITE)
+    check("temperature_k", temperature_k, POSITIVE)
     return Boltzmann * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
 
 
@@ -107,11 +104,8 @@ class StackedModel:
 def design_beamformers(channel: SampledChannel, n_streams: int) -> BeamformerPair:
     """SVD beamformers of the strongest tap (Frobenius norm, ties to the
     smallest index)."""
-    if not 1 <= n_streams <= min(channel.n_rx, channel.n_tx) or n_streams % 1:
-        raise ValueError(
-            f"n_streams must be an integer in [1, {min(channel.n_rx, channel.n_tx)}], "
-            f"got {n_streams!r}"
-        )
+    limit = min(channel.n_rx, channel.n_tx)
+    check("n_streams", n_streams, _Interval(1, limit, "[]"), integer=True)
     norms = np.linalg.norm(channel.taps, axis=(1, 2))
     mu = int(np.argmax(norms))
     u, s, vh = np.linalg.svd(channel.taps[mu], full_matrices=False)
@@ -135,8 +129,7 @@ def build_stacked_model(
     noise_variance: float,
 ) -> StackedModel:
     """Project every tap through the beamformers: ``G(l) = D^H H(l) Q``."""
-    if not 0.0 < noise_variance < np.inf:
-        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance!r}")
+    check("noise_variance", noise_variance, POSITIVE)
     G = beamformers.combiner.conj().T @ channel.taps @ beamformers.precoder
     return StackedModel(
         projected_taps=G,
@@ -191,8 +184,7 @@ def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     singular covariance (possible only with degenerate inputs) surfaces as
     a LinAlgError.
     """
-    if not 0.0 < tx_power < np.inf:
-        raise ValueError(f"tx_power must be finite and > 0, got {tx_power!r}")
+    check("tx_power", tx_power, POSITIVE)
     cov = _stacked_covariance(model, tx_power)
     try:
         factor = scipy.linalg.cho_factor(cov)
@@ -215,8 +207,7 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     X_I X_I^H`` with X_I every X(d), d != 0, side by side.  Valid for any
     estimator E, not just the LMMSE solution.
     """
-    if not 0.0 < tx_power < np.inf:
-        raise ValueError(f"tx_power must be finite and > 0, got {tx_power!r}")
+    check("tx_power", tx_power, POSITIVE)
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     per_stream = tx_power / m
@@ -336,8 +327,7 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     Drop k always runs on substream k of the configured seed, so the result
     is byte-identical for any ``n_jobs``, which must be an integer >= 1.
     """
-    if not isinstance(n_jobs, numbers.Integral) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    check("n_jobs", n_jobs, COUNT, integer=True)
     config.validate()
     trials = range(config.n_trials)
     if n_jobs == 1:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import POSITIVE, check
 from .geometry import SPEED_OF_LIGHT
 
 __all__ = [
@@ -85,8 +86,8 @@ def path_loss_db(distance, wavelength: float, params: PathLossParams, shadow_db=
     the shadow-fading excess loss; positive values attenuate.
     """
     r = np.asarray(distance, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("path-loss distance must be positive")
+    check("distance", r.min(), POSITIVE)
+    check("distance", r.max(), POSITIVE)
     slope = 1.0 - params.frequency_slope
     if params.frequency_slope != 0.0:
         if not params.slope_reference_hz:
@@ -109,9 +110,7 @@ def sample_shadow_fading(params: PathLossParams, rng: np.random.Generator, size=
 def los_probability(scenario: str, distance: float) -> float:
     """Probability that the direct path is unobstructed at ground range d."""
     scenario_parameters(scenario, "los")  # validate the name
-    d = float(distance)
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
+    d = check("distance", float(distance), POSITIVE)
     if scenario.startswith("umi"):
         decay = np.exp(-d / 39.0)
         return float(min(20.0 / d, 1.0) * (1.0 - decay) + decay)

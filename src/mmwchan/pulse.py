@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import COUNT, POSITIVE, UNIT_HALF_OPEN, admissible, check_fields
+
 __all__ = ["PulseSpec", "end_to_end_pulse"]
 
 # Relative width of the guard band around the raised-cosine removable
@@ -21,20 +23,11 @@ class PulseSpec:
     rendered onto a tap grid, in symbol periods.
     """
 
-    symbol_period: float
-    rolloff: float = 0.22
-    truncation_half_length: int = 8
+    symbol_period: float = admissible(POSITIVE)
+    rolloff: float = admissible(UNIT_HALF_OPEN, 0.22)
+    truncation_half_length: int = admissible(COUNT, 8)
 
-    def __post_init__(self):
-        if not 0.0 < self.symbol_period < np.inf:
-            raise ValueError(f"symbol_period must be finite and > 0, got {self.symbol_period!r}")
-        if not 0.0 < self.rolloff <= 1.0:
-            raise ValueError(f"rolloff must lie in (0, 1], got {self.rolloff!r}")
-        if not 1 <= self.truncation_half_length < np.inf or self.truncation_half_length % 1:
-            raise ValueError(
-                f"truncation_half_length must be a finite integer >= 1, got "
-                f"{self.truncation_half_length!r}"
-            )
+    __post_init__ = check_fields
 
 
 def end_to_end_pulse(spec: PulseSpec, t):

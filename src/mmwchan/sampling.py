@@ -9,10 +9,13 @@ machines, and degrees of trial parallelism.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._bounds import (
+    COUNT, FINITE, NON_NEGATIVE, POSITIVE, UNIT_CLOSED, admissible, check, check_fields,
+)
 
 __all__ = [
     "RngStream",
@@ -36,8 +39,10 @@ class RngStream:
     ``seed``; Monte-Carlo trial ``k`` runs on ``RngStream(seed, k)``.
     """
 
-    seed: int
-    stream_id: int = 0
+    seed: int = admissible(NON_NEGATIVE)
+    stream_id: int = admissible(NON_NEGATIVE, 0)
+
+    __post_init__ = check_fields
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this substream."""
@@ -63,8 +68,7 @@ def sample_cluster_count(lam: float, rng: np.random.Generator, size=None):
     Inversion consumes exactly one uniform per draw, which keeps the stream
     layout independent of the rate parameter.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
+    check("lam", lam, POSITIVE)
     cdf = _poisson_cdf_table(lam)
     u = rng.random(size)
     counts = np.searchsorted(cdf, u, side="left")
@@ -89,8 +93,8 @@ def sample_laplacian(mean, std, rng: np.random.Generator, size=None):
     The scale parameter is ``std / sqrt(2)`` so the returned variate has
     standard deviation ``std`` exactly.
     """
-    if not 0.0 <= std < np.inf:
-        raise ValueError(f"std must be finite and >= 0, got {std!r}")
+    check("mean", mean, FINITE)
+    check("std", std, NON_NEGATIVE)
     return rng.laplace(loc=mean, scale=std / np.sqrt(2.0), size=size)
 
 
@@ -119,12 +123,9 @@ def ar1_complex_sequence(
     calls.  At ``rho == 1`` the sequence is frozen at ``x[0]`` and no
     innovations are consumed.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be a finite integer >= 1, got {n!r}")
-    if not 0.0 <= variance < np.inf:
-        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+    check("rho", rho, UNIT_CLOSED)
+    check("n", n, COUNT, integer=True)
+    check("variance", variance, NON_NEGATIVE)
     if initial is None:
         initial = np.sqrt(variance) * sample_complex_gain(rng)
     x = np.empty((n,) + np.shape(initial), dtype=np.complex128)

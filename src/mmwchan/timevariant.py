@@ -20,13 +20,13 @@ snapshot in the static limit (zero velocity, coefficient 1); see
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import COUNT, FINITE, POSITIVE, UNIT_CLOSED_OR_AUTO, admissible, check_fields
 from .arrays import ArrayPair
 from .channel import (
     DEFAULT_ENERGY_THRESHOLD,
@@ -58,26 +58,13 @@ class MobilitySpec:
     selects :func:`default_gain_correlation`.
     """
 
-    v_rx: float = 0.0
-    v_tx: float = 0.0
-    snapshot_period: float = 1e-6
-    n_snapshots: int = 1
-    gain_correlation: float | None = None
+    v_rx: float = admissible(FINITE, 0.0)
+    v_tx: float = admissible(FINITE, 0.0)
+    snapshot_period: float = admissible(POSITIVE, 1e-6)
+    n_snapshots: int = admissible(COUNT, 1)
+    gain_correlation: float | None = admissible(UNIT_CLOSED_OR_AUTO, None)
 
-    def __post_init__(self):
-        for name in ("v_rx", "v_tx"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 < self.snapshot_period < np.inf:
-            raise ValueError(
-                f"snapshot_period must be finite and > 0, got {self.snapshot_period!r}"
-            )
-        if not isinstance(self.n_snapshots, numbers.Integral) or self.n_snapshots < 1:
-            raise ValueError(f"n_snapshots must be a finite integer >= 1, got {self.n_snapshots}")
-        if self.gain_correlation is not None and not 0.0 <= self.gain_correlation <= 1.0:
-            raise ValueError(
-                f"gain correlation must lie in [0, 1], got {self.gain_correlation!r}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(eq=False)

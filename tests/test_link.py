@@ -351,7 +351,7 @@ def test_cdf_experiment_shape_and_order():
 
 @pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", None])
 def test_cdf_experiment_rejects_bad_job_count_by_name(n_jobs):
-    with pytest.raises(ValueError, match="n_jobs must be an integer >= 1"):
+    with pytest.raises(ValueError, match="n_jobs must be a finite integer"):
         run_cdf_experiment(ScenarioConfig(n_trials=2), n_jobs=n_jobs)
 
 

@@ -1,7 +1,8 @@
 """Property tests for the input boundary: the config parser, the component
-constructors and the tensor readers turn every malformed input into a
-ValueError naming the key, field or file."""
+constructors, the layer functions and the tensor readers turn every
+malformed input into a ValueError naming the key, field, argument or file."""
 
+import dataclasses
 import re
 import typing
 
@@ -11,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import dyadic_pulse
 from mmwchan import (
     LinkGeometry,
     MobilitySpec,
     PlanarArray,
     PulseSpec,
     ScenarioConfig,
+    design_beamformers,
     parse_config,
+    sample_channel,
     serialize_config,
 )
 from mmwchan.channel import SampledChannel
@@ -28,9 +32,15 @@ from mmwchan.io import (
     write_dynamic_channel,
     write_static_channel,
 )
-from mmwchan.propagation import SCENARIOS
-from mmwchan.sampling import ar1_complex_sequence, sample_cluster_count, sample_laplacian
-from mmwchan.timevariant import TimeVariantChannel
+from mmwchan.propagation import SCENARIOS, los_probability, path_loss_db, scenario_parameters
+from mmwchan.sampling import (
+    RngStream,
+    ar1_complex_sequence,
+    sample_cluster_count,
+    sample_laplacian,
+)
+from mmwchan.timevariant import TimeVariantChannel, evolve_channel
+from test_channel import delta_realization, small_arrays
 
 FLOAT_KEYS = [
     key
@@ -65,9 +75,35 @@ def test_int_keys_are_listed_exhaustively():
 def test_fractional_int_key_is_rejected_by_name(key):
     # parse_config already refuses "2.5" for these keys; library callers
     # build ScenarioConfig directly.
-    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+    with pytest.raises(ValueError, match=f"'{key}' must be a finite integer"):
         ScenarioConfig(**{key: 2.5}).validate()
 
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_integral_float_int_key_is_rejected_by_name(key):
+    with pytest.raises(ValueError, match=f"'{key}' must be a finite integer"):
+        ScenarioConfig(**{key: 4.0}).validate()
+
+
+def test_every_config_field_declares_its_admissible_values():
+    # validate checks exactly the fields that carry an admissible set.
+    assert all("allowed" in f.metadata for f in dataclasses.fields(ScenarioConfig))
+
+
+def _sample(**kwargs):
+    real = delta_realization([0.0], [-80.0])
+    return sample_channel(real, small_arrays(), dyadic_pulse(), **kwargs)
+
+
+def _evolve(**kwargs):
+    real = delta_realization([0.0], [-80.0])
+    mob = MobilitySpec(v_rx=10.0, n_snapshots=3)
+    rng = np.random.default_rng(0)
+    return evolve_channel(real, small_arrays(), dyadic_pulse(), mob, rng, **kwargs)
+
+
+# Channel with 4 receive and 5 transmit elements, so up to 4 streams fit.
+CHANNEL = SampledChannel(np.random.default_rng(0).standard_normal((2, 4, 5)) + 0j, 1e-9, 0)
 
 COMPONENT_FIELDS = {
     "symbol_period": lambda x: PulseSpec(symbol_period=x),
@@ -85,7 +121,33 @@ COMPONENT_FIELDS = {
     "std": lambda x: sample_laplacian(0.0, x, np.random.default_rng(0)),
     "variance": lambda x: ar1_complex_sequence(0.5, 4, x, np.random.default_rng(0)),
     "n": lambda x: ar1_complex_sequence(0.5, x, 1.0, np.random.default_rng(0)),
+    "mean": lambda x: sample_laplacian(x, 1.0, np.random.default_rng(0)),
+    "seed": lambda x: RngStream(x),
+    "stream_id": lambda x: RngStream(0, x),
+    "horizontal": lambda x: PlanarArray(x, 2),
+    "vertical": lambda x: PlanarArray(2, x),
+    "rolloff": lambda x: PulseSpec(1e-9, rolloff=x),
+    "gain_correlation": lambda x: MobilitySpec(gain_correlation=x),
+    # the render and link functions, whose arguments are checked like fields
+    "oversampling": lambda x: _sample(oversampling=x),
+    "energy_threshold": lambda x: _sample(energy_threshold=x),
+    "n_streams": lambda x: design_beamformers(CHANNEL, x),
 }
+
+#: Arguments that share a COMPONENT_FIELDS name but belong to other callees.
+SAME_NAME_CALLS = {
+    "evolve_channel": ("oversampling", lambda x: _evolve(oversampling=x)),
+    "los_probability": ("distance", lambda x: los_probability(SCENARIOS[0], x)),
+    "path_loss_db": (
+        "distance",
+        lambda x: path_loss_db(x, 4e-3, scenario_parameters(SCENARIOS[0], "nlos")),
+    ),
+}
+
+COUNT_FIELDS = [
+    "truncation_half_length", "n_snapshots", "n", "seed", "stream_id", "horizontal",
+    "vertical", "oversampling", "n_streams",
+]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -96,14 +158,33 @@ def test_non_finite_component_field_is_rejected_by_name(field, value):
         COMPONENT_FIELDS[field](value)
 
 
-@pytest.mark.parametrize("field", ["truncation_half_length", "n_snapshots", "n"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("callee", SAME_NAME_CALLS)
+def test_non_finite_argument_of_another_callee_is_rejected_by_name(callee, value):
+    name, call = SAME_NAME_CALLS[callee]
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
 def test_fractional_count_field_is_rejected_by_name(field):
     with pytest.raises(ValueError, match=f"{field} must be a finite integer"):
         COMPONENT_FIELDS[field](2.5)
 
 
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_integral_float_count_field_is_rejected_by_name(field):
+    # 4.0 equals 4 but can neither size nor index an array.
+    with pytest.raises(ValueError, match=f"{field} must be a finite integer"):
+        COMPONENT_FIELDS[field](4.0)
+
+
 @pytest.mark.parametrize(
-    "field, value", [("lam", 0.0), ("lam", -1.0), ("std", -1.0), ("variance", -1.0), ("n", 0)]
+    "field, value",
+    [
+        ("lam", 0.0), ("lam", -1.0), ("std", -1.0), ("variance", -1.0), ("n", 0),
+        ("seed", -1), ("stream_id", -1),
+    ],
 )
 def test_out_of_range_sampling_argument_is_rejected_by_name(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):

@@ -213,7 +213,7 @@ def test_evolution_is_reproducible():
     [
         ({"oversampling": 1.5}, "oversampling"),
         ({"oversampling": 0}, "oversampling"),
-        ({"energy_threshold": 2.0}, "energy threshold"),
+        ({"energy_threshold": 2.0}, "energy_threshold must be a finite number"),
     ],
 )
 def test_evolve_checks_render_arguments(bad, message):

@@ -3,8 +3,9 @@
 Every knob of the simulator is one top-level key typed by the
 :class:`ScenarioConfig` field it fills, and each field declares the values
 it admits: an interval or a tuple of choices, checked by
-:meth:`ScenarioConfig.validate`.  ``auto`` selects the documented default
-for the optional keys (thermal noise, snapshot spacing, gain correlation).
+:meth:`ScenarioConfig.validate` whenever a configuration is built.  ``auto``
+selects the documented default for the optional keys (thermal noise,
+snapshot spacing, gain correlation).
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ class ScenarioConfig:
         limit = min(self.rx_horizontal * self.rx_vertical, self.tx_horizontal * self.tx_vertical)
         check("'n_streams'", self.n_streams, _Interval(1, limit, "[]"), integer=True)
 
+    __post_init__ = validate
+
 
 #: Type of every configuration key, resolved once from the annotations.
 _KEY_TYPES: dict[str, object] = typing.get_type_hints(ScenarioConfig)
@@ -196,9 +199,7 @@ def parse_config(path=None, overrides=None) -> ScenarioConfig:
             raise ValueError(f"unknown configuration key '{key}'")
         raw[key] = value
     values = {key: _convert(key, text, _KEY_TYPES[key]) for key, text in raw.items()}
-    config = ScenarioConfig(**values)
-    config.validate()
-    return config
+    return ScenarioConfig(**values)
 
 
 def serialize_config(config: ScenarioConfig) -> str:

@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._bounds import POSITIVE, admissible, check_fields
+
+#: Speed of light in vacuum, m/s; exact by SI definition.
+SPEED_OF_LIGHT = 299792458.0
 
 __all__ = [
     "SPEED_OF_LIGHT",

@@ -5,20 +5,23 @@ the strongest tap; the receiver projects onto the matching left singular
 vectors, stacks a window of P received symbol vectors, and applies the
 LMMSE estimator for the stream vector.  The achievable rate treats
 inter-symbol interference from neighboring transmit vectors as noise.
+
+``scipy.linalg`` is imported inside :func:`lmmse_operator`, its only user,
+and not at module level: importing it takes ~0.3 s, and ``generate-*``
+processes load this module (through the package) but never solve a
+covariance.  :func:`run_cdf_experiment` imports it before starting its
+process pool, so forked workers inherit it instead of each importing it.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.constants import Boltzmann
 
 from ._bounds import COUNT, FINITE, POSITIVE, _Interval, check
 from .channel import SampledChannel, realize_channel, sample_channel
@@ -26,6 +29,9 @@ from .sampling import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
+
+#: Boltzmann constant, J/K; exact by SI definition.
+_BOLTZMANN = 1.380649e-23
 
 __all__ = [
     "BeamformerPair",
@@ -51,7 +57,7 @@ def thermal_noise_variance(
     check("bandwidth_hz", bandwidth_hz, POSITIVE)
     check("noise_figure_db", noise_figure_db, FINITE)
     check("temperature_k", temperature_k, POSITIVE)
-    return Boltzmann * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
+    return _BOLTZMANN * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
 
 
 @dataclass(eq=False)
@@ -184,6 +190,8 @@ def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     singular covariance (possible only with degenerate inputs) surfaces as
     a LinAlgError.
     """
+    import scipy.linalg
+
     check("tx_power", tx_power, POSITIVE)
     cov = _stacked_covariance(model, tx_power)
     try:
@@ -333,6 +341,9 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     if n_jobs == 1:
         results = [_single_trial(config, k) for k in trials]
     else:
+        import scipy.linalg  # noqa: F401  (loaded once here, inherited by forked workers)
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.n_trials // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(partial(_single_trial, config), trials, chunksize=chunk))

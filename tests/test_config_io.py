@@ -114,6 +114,23 @@ def test_parse_config_validates_result():
         parse_config(None, {"n_streams": "99"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("carrier_frequency_hz", float("nan")),
+        ("rx_orientation_rad", float("nan")),
+        ("max_distance_factor", float("nan")),
+        ("scattered_pathloss", "bogus"),
+        ("shadow_per_cluster", "no"),
+    ],
+)
+def test_scenario_config_rejects_bad_value_at_construction(key, value):
+    # Unchecked, each reaches realize_channel: non-finite taps, numpy's
+    # OverflowError, or a silent render with a meaningless setting.
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        ScenarioConfig(**{key: value})
+
+
 def test_serialize_round_trip(tmp_path):
     config = ScenarioConfig(
         scenario="inh-shopping-mall",

@@ -1,0 +1,64 @@
+"""Start-up cost: each command imports only the libraries it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.constants
+
+import mmwchan
+from mmwchan import SPEED_OF_LIGHT, link, thermal_noise_variance
+
+_SRC = str(Path(mmwchan.__file__).resolve().parents[1])
+
+# Runs in a fresh interpreter: the generate commands, then a 4-drop eval-cdf,
+# printing which of the watched modules were loaded after each stage.
+_COMMANDS = """
+import json, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+watched = lambda: sorted(
+    m for m in sys.modules
+    if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process"
+)
+loaded = {}
+
+import mmwchan
+from mmwchan import cli
+from mmwchan.config import parse_config
+
+parse_config(None, {})
+cli.main(["generate-static", "--output", str(out / "static.mmwc")])
+cli.main([
+    "generate-dynamic", "--set", "v_rx_mps=20", "--set", "n_snapshots=8",
+    "--output", str(out / "dynamic.mmwc"),
+])
+loaded["generate"] = watched()
+cli.main(["eval-cdf", "--set", "n_trials=4", "--output", str(out / "cdf.csv")])
+loaded["eval-cdf"] = watched()
+print(json.dumps(loaded))
+"""
+
+
+def test_generate_commands_load_no_scipy_and_no_process_pool(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["generate"] == []
+    assert "scipy.linalg" in loaded["eval-cdf"]
+
+
+def test_physical_constants_equal_scipy_exactly():
+    assert SPEED_OF_LIGHT == scipy.constants.c
+    assert link._BOLTZMANN == scipy.constants.Boltzmann
+
+
+def test_thermal_noise_variance_is_unchanged_bit_for_bit():
+    assert thermal_noise_variance(500e6).hex() == "0x1.bd7ba2837c36bp-38"

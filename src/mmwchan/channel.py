@@ -370,8 +370,9 @@ def _render_taps(
     bit as within the full grid, which is what keeps snapshot 0 and the
     frozen limit of :func:`mmwchan.timevariant.evolve_channel` equal to the
     static taps, also when those are recomputed in another process, and
-    what lets that function render blocks of snapshots in concurrent
-    threads with the bits of one call.  (A render folded into one
+    what lets that function render interleaved blocks of rows in concurrent
+    threads, and chunks of snapshots one after another, with the bits of
+    one call.  (A render folded into one
     (S x K) @ (K x N_R N_T) product would not: numpy hands its one-snapshot
     case to ``gemv`` and the stacked case to ``gemm``, which round
     differently.)  As a precaution, each product is also at most

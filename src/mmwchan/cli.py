@@ -14,14 +14,14 @@ from .channel import realize_channel, sample_channel
 from .config import parse_config
 from .io import (
     write_cdf_csv,
-    write_dynamic_channel,
+    write_dynamic_chunks,
     write_realization_metadata,
     write_static_channel,
     write_trial_log,
 )
 from .link import run_cdf_experiment
 from .sampling import RngStream
-from .timevariant import evolve_channel
+from .timevariant import _plan_evolution, _snapshot_chunks
 
 #: Substream labels used by the subcommands.
 REALIZATION_STREAM = 0
@@ -91,11 +91,15 @@ def cmd_generate_static(args) -> int:
 
 
 def cmd_generate_dynamic(args) -> int:
+    """Stream the snapshots to ``--output`` chunk by chunk, in memory bounded
+    by :data:`mmwchan.timevariant.CHUNK_BYTES`, not by the snapshot count;
+    the file equals :func:`mmwchan.timevariant.evolve_channel` written by
+    :func:`mmwchan.io.write_dynamic_channel`."""
     config = _load_config(args)
     realization_rng = RngStream(config.seed, REALIZATION_STREAM).generator()
     real = realize_channel(config, realization_rng)
     evolution_rng = RngStream(config.seed, EVOLUTION_STREAM).generator()
-    channel = evolve_channel(
+    plan = _plan_evolution(
         real,
         config.arrays(),
         config.pulse(),
@@ -104,7 +108,11 @@ def cmd_generate_dynamic(args) -> int:
         config.energy_threshold,
         config.oversampling,
     )
-    write_dynamic_channel(args.output, channel)
+    write_dynamic_chunks(
+        args.output, plan.shape, plan.sample_period, plan.tap_offset, plan.snapshot_period,
+        _snapshot_chunks(plan),
+    )
+    n_snapshots, n_taps = plan.shape[:2]
     run_info = {
         "command": "generate-dynamic",
         "seed": config.seed,
@@ -113,16 +121,16 @@ def cmd_generate_dynamic(args) -> int:
             "evolution": EVOLUTION_STREAM,
         },
         "config": asdict(config),
-        "n_snapshots": channel.n_snapshots,
-        "snapshot_period_s": channel.snapshot_period,
-        "n_taps": channel.n_taps,
-        "tap_offset": channel.tap_offset,
-        "sample_period_s": channel.sample_period,
+        "n_snapshots": n_snapshots,
+        "snapshot_period_s": plan.snapshot_period,
+        "n_taps": n_taps,
+        "tap_offset": plan.tap_offset,
+        "sample_period_s": plan.sample_period,
     }
     write_realization_metadata(_metadata_path(args), real, run_info)
     print(
-        f"wrote {args.output}: {channel.n_snapshots} snapshots x "
-        f"{channel.n_taps} taps, offset {channel.tap_offset}, "
+        f"wrote {args.output}: {n_snapshots} snapshots x "
+        f"{n_taps} taps, offset {plan.tap_offset}, "
         f"{'LOS' if real.los.present else 'NLOS'}"
     )
     return 0

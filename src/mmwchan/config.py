@@ -30,9 +30,13 @@ __all__ = ["ScenarioConfig", "parse_config", "serialize_config"]
 _AUTO = ("auto", "none")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """All run parameters, one field per configuration key."""
+    """All run parameters, one field per configuration key.
+
+    Frozen, so the check at construction holds for the instance's life; use
+    :func:`dataclasses.replace` for a changed copy, which is checked again.
+    """
 
     # deployment
     scenario: str = admissible(SCENARIOS, "umi-street-canyon")

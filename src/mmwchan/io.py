@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,6 +35,7 @@ __all__ = [
     "write_static_channel",
     "read_static_channel",
     "write_dynamic_channel",
+    "write_dynamic_chunks",
     "read_dynamic_channel",
     "read_channel",
     "realization_to_dict",
@@ -56,15 +58,22 @@ _HEADERS = {
 }
 
 
-def _write_tensor(path, version: int, taps: np.ndarray, *meta) -> None:
-    """Header (the taps' dimensions, then ``meta``), then the tap buffer
-    itself: no payload copy is made unless the taps are not already
-    contiguous little-endian complex128."""
-    n_taps, n_rx, n_tx = taps.shape[-3:]
+def _write_tensor(path, version: int, shape: tuple, chunks: Iterable[np.ndarray], *meta) -> None:
+    """Header (the tap dimensions, the last three of ``shape``, then
+    ``meta``), then each payload chunk as it comes: no copy is made of a
+    chunk that is already contiguous little-endian complex128.  If rendering
+    or writing a chunk raises, the partial file is removed."""
+    n_taps, n_rx, n_tx = shape[-3:]
     header = _HEADERS[version].pack(MAGIC, version, n_rx, n_tx, n_taps, *meta)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(taps, dtype="<c16").data)
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(header)
+            for chunk in chunks:
+                f.write(np.ascontiguousarray(chunk, dtype="<c16").data)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _read_tensor(path, versions):
@@ -95,13 +104,29 @@ def _read_tensor(path, versions):
 
 
 def write_static_channel(path, channel: SampledChannel) -> None:
-    _write_tensor(path, STATIC_VERSION, channel.taps, channel.sample_period, channel.tap_offset)
+    _write_tensor(
+        path, STATIC_VERSION, channel.taps.shape, [channel.taps],
+        channel.sample_period, channel.tap_offset,
+    )
 
 
 def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
+    write_dynamic_chunks(
+        path, channel.snapshots.shape, channel.sample_period, channel.tap_offset,
+        channel.snapshot_period, [channel.snapshots],
+    )
+
+
+def write_dynamic_chunks(
+    path, shape: tuple, sample_period: float, tap_offset: int, snapshot_period: float,
+    chunks: Iterable[np.ndarray],
+) -> None:
+    """Snapshot sequence of ``shape`` (n_snapshots, P, N_R, N_T) whose
+    payload arrives as ``chunks`` of whole snapshots in time order; each
+    chunk is written before the next is drawn, so they may share a buffer.
+    The file equals :func:`write_dynamic_channel`'s of the same sequence."""
     _write_tensor(
-        path, DYNAMIC_VERSION, channel.snapshots, channel.sample_period, channel.tap_offset,
-        channel.n_snapshots, channel.snapshot_period,
+        path, DYNAMIC_VERSION, shape, chunks, sample_period, tap_offset, shape[0], snapshot_period
     )
 
 

@@ -336,7 +336,6 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     is byte-identical for any ``n_jobs``, which must be an integer >= 1.
     """
     check("n_jobs", n_jobs, COUNT, integer=True)
-    config.validate()
     trials = range(config.n_trials)
     if n_jobs == 1:
         results = [_single_trial(config, k) for k in trials]

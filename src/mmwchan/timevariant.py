@@ -8,20 +8,26 @@ phase wanders.
 Snapshots are rendered by the banded per-tap products of
 :mod:`mmwchan.channel` with per-snapshot weights.  Snapshot 0 goes through
 the same full-grid render as static sampling and fixes the tap window;
-snapshots 1 ... N-1 then render only the window's rows, split into
-contiguous blocks, one per usable core, rendered concurrently.  Every block
-still runs one product per tap and snapshot, and each tap's product sees
-the same path range, pulse row and weights whichever block or thread runs
-it, so the bits depend on neither the block count nor the core count.
-Snapshot 0 reproduces the static channel bit for bit, and so does every
-snapshot in the static limit (zero velocity, coefficient 1); see
+snapshots 1 ... N-1 then render only the window's rows.  The rows are split
+into interleaved blocks, one per usable core, rendered concurrently, and the
+snapshots are rendered in chunks: all at once into the returned array by
+:func:`evolve_channel`, or a few MiB at a time into one reused buffer by
+``generate-dynamic``, which writes each chunk before rendering the next.
+Every block still runs one product per tap and chunk, stacked over the
+chunk's snapshots, and each tap's product sees the same path range, pulse
+row and weights whichever block, thread or chunk runs it, so the bits depend
+on neither the block count, the core count nor the chunk size.  Snapshot 0
+reproduces the static channel bit for bit, and so does every snapshot in
+the static limit (zero velocity, coefficient 1); see
 :func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,54 +119,42 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _render_moving(
-    grid: _TapGrid, weights: np.ndarray, rows: range, snapshots: np.ndarray
-) -> None:
-    """Render snapshots 1 ... N-1 at ``rows`` into ``snapshots`` in place.
-
-    The snapshots are split into contiguous blocks, one per usable core;
-    block 0 renders in the calling thread and the others in helper threads
-    (numpy releases the GIL in the products).  Every helper's result is
-    taken, so an exception in any block reaches the caller.  The helpers
-    live for one call only: a module-level pool's threads would not survive
-    the fork of a process pool, and would sit idle in library callers.
-    """
-    moving = snapshots.shape[0] - 1
-    if moving == 0:
-        return
-    n_blocks = min(_usable_cores(), moving)
-    edges = [1 + moving * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-    def render(block: slice) -> None:
-        _render_taps(grid, weights[block], rows, out=snapshots[block])
-
-    if n_blocks == 1:
-        render(blocks[0])
-        return
-    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
-        helpers = [pool.submit(render, block) for block in blocks[1:]]
-        render(blocks[0])
-        for helper in helpers:
-            helper.result()
+#: Bytes of the one buffer that ``generate-dynamic`` renders and writes its
+#: snapshots through, chunk by chunk (a chunk holds at least one snapshot),
+#: so the command's memory does not grow with the snapshot count.
+CHUNK_BYTES = 8 << 20
 
 
-def evolve_channel(
+@dataclass(eq=False)
+class _Evolution:
+    """A drop's snapshot sequence before its moving snapshots are rendered:
+    what they are rendered from, and the facts of the tensor they form."""
+
+    grid: _TapGrid
+    weights: np.ndarray  # (n_snapshots, paths) per-path weights, table order
+    rows: range          # the tap window's rows of the grid
+    first: np.ndarray    # (P, N_R, N_T) snapshot 0, cut from the full-grid render
+    sample_period: float
+    tap_offset: int
+    snapshot_period: float
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
+        return (len(self.weights),) + self.first.shape
+
+
+def _plan_evolution(
     real: ChannelRealization,
     arrays: ArrayPair,
     spec: PulseSpec,
     mob: MobilitySpec,
     rng: np.random.Generator,
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-    oversampling: int = 1,
-) -> TimeVariantChannel:
-    """Render a realization as a sequence of tap-tensor snapshots.
-
-    Per-path AR(1) innovation draws run in path order (direct path last);
-    nothing is drawn at coefficient 1.  The tap window is selected once from
-    snapshot 0 — which equals the static sampling of the same realization —
-    and shared by all snapshots.
-    """
+    energy_threshold: float,
+    oversampling: int,
+) -> _Evolution:
+    """Draw the per-snapshot path weights, render snapshot 0 on the full
+    grid and select the tap window from it; see :func:`evolve_channel`."""
     rho = mob.gain_correlation
     if rho is None:
         rho = default_gain_correlation(mob, real.carrier_frequency)
@@ -184,12 +178,96 @@ def evolve_channel(
     grid = _tap_grid(table, spec, oversampling)
     taps = _render_taps(grid, weights[0])
     start, width = _select_window(taps, energy_threshold)
-    snapshots = np.empty((n_snap, width) + taps.shape[1:], dtype=np.complex128)
-    snapshots[0] = taps[start : start + width]
-    _render_moving(grid, weights, range(start, start + width), snapshots)
-    return TimeVariantChannel(
-        snapshots=snapshots,
+    return _Evolution(
+        grid=grid,
+        weights=weights,
+        rows=range(start, start + width),
+        first=taps[start : start + width],
         sample_period=spec.symbol_period / oversampling,
         tap_offset=grid.n_lo + start,
         snapshot_period=mob.snapshot_period,
+    )
+
+
+@contextmanager
+def _renderer(plan: _Evolution) -> Iterator[Callable[[int, np.ndarray], None]]:
+    """A function ``render(first, out)`` that renders snapshots ``first ...
+    first + len(out) - 1`` of ``plan`` into ``out``.
+
+    Snapshot 0 is copied from the plan.  The window's rows of the others are
+    split across the usable cores, interleaved so that the densely covered
+    middle rows spread evenly: block ``b`` of ``n`` renders rows
+    ``rows[b::n]`` into ``out[:, b::n]``, block 0 in the calling thread and
+    the others in helper threads (numpy releases the GIL in the products).
+    Every helper's result is taken, so an exception in any block reaches the
+    caller.  The helpers live as long as the context: a module-level pool's
+    threads would not survive the fork of a process pool, and would sit idle
+    in library callers.  There are none on one core, for a one-row window or
+    for a single snapshot.
+    """
+    n_snap = plan.shape[0]
+    n_blocks = min(_usable_cores(), len(plan.rows)) if n_snap > 1 else 1
+
+    def render_block(b: int, weights: np.ndarray, out: np.ndarray) -> None:
+        _render_taps(plan.grid, weights, plan.rows[b::n_blocks], out=out[:, b::n_blocks])
+
+    def render(first: int, out: np.ndarray) -> None:
+        if first == 0:
+            out[0] = plan.first
+            first, out = 1, out[1:]
+        if not len(out):
+            return
+        weights = plan.weights[first : first + len(out)]
+        helpers = [pool.submit(render_block, b, weights, out) for b in range(1, n_blocks)]
+        render_block(0, weights, out)
+        for helper in helpers:
+            helper.result()
+
+    if n_blocks == 1:
+        yield render
+        return
+    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
+        yield render
+
+
+def _snapshot_chunks(plan: _Evolution) -> Iterator[np.ndarray]:
+    """The whole sequence in time order, rendered chunk by chunk into one
+    reused buffer of :data:`CHUNK_BYTES`, at least one snapshot and at most
+    the sequence: each chunk is a view of that buffer, valid until the next
+    one is drawn."""
+    n_snap = plan.shape[0]
+    per_chunk = min(max(1, CHUNK_BYTES // plan.first.nbytes), n_snap)
+    buffer = np.empty((per_chunk,) + plan.first.shape, dtype=np.complex128)
+    with _renderer(plan) as render:
+        for start in range(0, n_snap, per_chunk):
+            chunk = buffer[: min(per_chunk, n_snap - start)]
+            render(start, chunk)
+            yield chunk
+
+
+def evolve_channel(
+    real: ChannelRealization,
+    arrays: ArrayPair,
+    spec: PulseSpec,
+    mob: MobilitySpec,
+    rng: np.random.Generator,
+    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
+    oversampling: int = 1,
+) -> TimeVariantChannel:
+    """Render a realization as a sequence of tap-tensor snapshots.
+
+    Per-path AR(1) innovation draws run in path order (direct path last);
+    nothing is drawn at coefficient 1.  The tap window is selected once from
+    snapshot 0 — which equals the static sampling of the same realization —
+    and shared by all snapshots.
+    """
+    plan = _plan_evolution(real, arrays, spec, mob, rng, energy_threshold, oversampling)
+    snapshots = np.empty(plan.shape, dtype=np.complex128)
+    with _renderer(plan) as render:
+        render(0, snapshots)
+    return TimeVariantChannel(
+        snapshots=snapshots,
+        sample_period=plan.sample_period,
+        tap_offset=plan.tap_offset,
+        snapshot_period=plan.snapshot_period,
     )

@@ -3,18 +3,28 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmwchan import ScenarioConfig, realize_channel, sample_channel
-from mmwchan.cli import main
+from mmwchan import (
+    ScenarioConfig,
+    evolve_channel,
+    parse_config,
+    realize_channel,
+    sample_channel,
+    timevariant,
+)
+from mmwchan.channel import _path_table, _tap_grid
+from mmwchan.cli import EVOLUTION_STREAM, REALIZATION_STREAM, main
 from mmwchan.io import (
     read_cdf_csv,
     read_channel,
     read_dynamic_channel,
     read_realization_metadata,
     read_static_channel,
+    write_dynamic_channel,
 )
 from mmwchan.sampling import RngStream
 
@@ -104,6 +114,83 @@ def test_dynamic_snapshot_zero_matches_static_tensor(tmp_path):
     dynamic = read_dynamic_channel(dynamic_out)
     np.testing.assert_array_equal(dynamic.snapshots[0], static.taps)
     assert dynamic.tap_offset == static.tap_offset
+
+
+def _config_args(overrides):
+    return [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+
+
+@pytest.mark.parametrize("n_snapshots", [1, 2, 9, 64])
+def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapshots):
+    """generate-dynamic writes chunk by chunk the bytes that evolve_channel
+    and write_dynamic_channel write at once, which perfbench's traced run
+    compares against."""
+    overrides = {"seed": 7, "v_rx_mps": 20, "n_snapshots": n_snapshots}
+    config = parse_config(None, {k: str(v) for k, v in overrides.items()})
+    real = realize_channel(config, RngStream(7, REALIZATION_STREAM).generator())
+    channel = evolve_channel(
+        real, config.arrays(), config.pulse(), config.mobility(),
+        RngStream(7, EVOLUTION_STREAM).generator(), config.energy_threshold,
+        config.oversampling,
+    )
+    write_dynamic_channel(tmp_path / "memory.mmwc", channel)
+    expected = (tmp_path / "memory.mmwc").read_bytes()
+    # one snapshot per chunk, five (dividing none of 2, 9, 64 and none of
+    # 1, 8, 63) and more than the whole tensor
+    for per_chunk in (1, 5, n_snapshots + 1):
+        monkeypatch.setattr(timevariant, "CHUNK_BYTES", per_chunk * channel.snapshots[0].nbytes)
+        out = tmp_path / f"stream{per_chunk}.mmwc"
+        run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
+        assert out.read_bytes() == expected, per_chunk
+        run, _ = read_realization_metadata(out.with_suffix(".json"))
+        assert run["n_snapshots"] == n_snapshots
+        assert (run["n_taps"], run["tap_offset"]) == (channel.n_taps, channel.tap_offset)
+        assert run["sample_period_s"] == channel.sample_period
+        assert run["snapshot_period_s"] == channel.snapshot_period
+
+
+def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
+    path = tmp_path / "seq.mmwc"
+    render = timevariant._render_taps
+    calls, written = [], []
+
+    def render_failing_in_a_later_chunk(grid, weights, rows=None, out=None):
+        # call 1 renders snapshot 0's full grid, calls 2-4 snapshots 1-3
+        calls.append(rows)
+        if len(calls) == 5:
+            written.append(path.stat().st_size)
+            raise RuntimeError("render failed")
+        return render(grid, weights, rows, out=out)
+
+    monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1)  # one snapshot per chunk
+    monkeypatch.setattr(timevariant, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(timevariant, "_render_taps", render_failing_in_a_later_chunk)
+    with pytest.raises(RuntimeError, match="render failed"):
+        run_cli("generate-dynamic", "--set", "v_rx_mps=20", "--set", "n_snapshots=8",
+                "--output", path)
+    assert written and written[0] > 0  # the file was open and partly written
+    assert not path.exists()
+    assert not path.with_suffix(".json").exists()
+
+
+def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
+    """256 snapshots of a drop whose whole tensor is 81 MB stream through one
+    chunk buffer: the peak traced allocation stays below three chunks plus
+    snapshot 0 on the full grid, which selects the tap window."""
+    overrides = {"seed": 5, "v_rx_mps": 20, "n_snapshots": 256}
+    config = parse_config(None, {k: str(v) for k, v in overrides.items()})
+    real = realize_channel(config, RngStream(5, REALIZATION_STREAM).generator())
+    grid = _tap_grid(_path_table(real, config.arrays()), config.pulse(), config.oversampling)
+    full_grid_bytes = grid.pulse.shape[0] * grid.a_r.shape[0] * grid.a_t.shape[1] * 16
+    out = tmp_path / "seq.mmwc"
+    tracemalloc.start()
+    try:
+        run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size >= 60e6
+    assert peak < 3 * timevariant.CHUNK_BYTES + full_grid_bytes
 
 
 def test_eval_cdf_writes_csv_and_log(tmp_path, capsys):

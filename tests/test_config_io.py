@@ -1,5 +1,7 @@
 """Tests for the flat config format and the on-disk artifact formats."""
 
+import dataclasses
+import errno
 import json
 import struct
 
@@ -131,6 +133,20 @@ def test_scenario_config_rejects_bad_value_at_construction(key, value):
         ScenarioConfig(**{key: value})
 
 
+def test_scenario_config_is_frozen():
+    # A field reassigned after construction would skip the check; see
+    # test_scenario_config_rejects_bad_value_at_construction.
+    config = ScenarioConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.carrier_frequency_hz = float("nan")
+    assert config.carrier_frequency_hz == 73e9
+
+
+def test_replaced_scenario_config_is_checked_again():
+    with pytest.raises(ValueError, match="'carrier_frequency_hz'"):
+        dataclasses.replace(ScenarioConfig(), carrier_frequency_hz=float("nan"))
+
+
 def test_serialize_round_trip(tmp_path):
     config = ScenarioConfig(
         scenario="inh-shopping-mall",
@@ -214,6 +230,22 @@ def test_dynamic_tensor_header_layout(tmp_path):
     assert len(blob) == header + n_snap * n_taps * n_rx * n_tx * 16
     re, im = struct.unpack_from("<dd", blob, header)
     assert re + 1j * im == channel.snapshots[0, 0, 0, 0]
+
+
+def test_failed_tensor_write_leaves_no_partial_file(tmp_path):
+    class TapsOnAFullDisk:
+        """Taps whose payload fails to arrive after the header is written."""
+
+        shape = (4, 3, 2)
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    path = tmp_path / "chan.mmwc"
+    path.write_bytes(b"an earlier run's tensor")
+    with pytest.raises(OSError, match="No space left"):
+        write_static_channel(path, SampledChannel(TapsOnAFullDisk(), 1e-9, 0))
+    assert not path.exists()
 
 
 def test_negative_tap_offset_survives_round_trip(tmp_path):

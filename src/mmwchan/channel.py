@@ -1,9 +1,9 @@
 """Clustered statistical channel realizations and tap-domain sampling.
 
 A realization draws the full cluster/ray geometry, per-ray complex gains,
-attenuations, and the direct-path state for one link drop.  Sampling renders
-the realization onto a uniform delay grid through the end-to-end pulse and
-trims the grid to the shortest window that retains the requested share of
+attenuations, and the direct-path state for one link drop.  Sampling lays
+the realization on a uniform delay grid through the end-to-end pulse and
+renders only the grid's shortest window that retains the requested share of
 the total tap energy.
 
 Rendering is shared with :mod:`mmwchan.timevariant`.  A realization is
@@ -15,7 +15,9 @@ and last covered taps grow with its delay, so the paths covering tap ``n``
 form one contiguous range of the sorted paths, and under per-path weights
 ``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range
 only: one small matrix product per tap.  A tap's value never depends on
-which other taps, or which other weight sets, are rendered with it.
+which other taps, or which other weight sets, are rendered with it, so the
+window is chosen first, from each tap's energy as a Hermitian form in the
+path Gram (:func:`_row_energies`), and only the window's taps are rendered.
 """
 
 from __future__ import annotations
@@ -338,8 +340,9 @@ def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid
     starts = np.ceil((tau - half_t) / dt).astype(int)
     stops = np.floor((tau + half_t) / dt).astype(int)
     n = np.arange(starts.min(), stops.max() + 1)
-    inside = (n[:, None] >= starts) & (n[:, None] <= stops)
-    pulse = np.where(inside, end_to_end_pulse(spec, n[:, None] * dt - tau), 0.0)
+    row, col = np.nonzero((n[:, None] >= starts) & (n[:, None] <= stops))
+    pulse = np.zeros((len(n), len(tau)))
+    pulse[row, col] = end_to_end_pulse(spec, n[row] * dt - tau[col])
     return _TapGrid(
         order=order,
         pulse=pulse,
@@ -367,15 +370,15 @@ def _render_taps(
 
     The products stay per tap so that a tap depends only on its own range,
     pulse row and weights: any subset of rows or weight sets renders bit for
-    bit as within the full grid, which is what keeps snapshot 0 and the
-    frozen limit of :func:`mmwchan.timevariant.evolve_channel` equal to the
-    static taps, also when those are recomputed in another process, and
-    what lets that function render interleaved blocks of rows in concurrent
-    threads, and chunks of snapshots one after another, with the bits of
-    one call.  (A render folded into one
-    (S x K) @ (K x N_R N_T) product would not: numpy hands its one-snapshot
-    case to ``gemv`` and the stacked case to ``gemm``, which round
-    differently.)  As a precaution, each product is also at most
+    bit as within the full grid.  That lets callers render only the tap
+    window, keeps snapshot 0 and the frozen limit of
+    :func:`mmwchan.timevariant.evolve_channel` equal to the static taps, also
+    when those are recomputed in another process, and lets that function
+    render interleaved blocks of rows in concurrent threads, and chunks of
+    snapshots one after another, with the bits of one call.  (A render
+    folded into one (S x K) @ (K x N_R N_T) product would not: numpy hands
+    its one-snapshot case to ``gemv`` and the stacked case to ``gemm``,
+    which round differently.)  As a precaution, each product is also at most
     N_R * N_T * paths multiply-adds, below OpenBLAS's threading threshold.
     """
     if rows is None:
@@ -394,19 +397,39 @@ def _render_taps(
     return out
 
 
-def _select_window(grid: np.ndarray, energy_threshold: float) -> tuple[int, int]:
-    """Leftmost shortest contiguous tap window keeping >= (1 - threshold)
-    of the total energy.  Returns (start index, length)."""
+def _row_energies(grid: _TapGrid, weights: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every grid row's tap under per-path
+    ``weights`` (table order), unrendered: ``c^H M c`` with ``c = pulse[i] * w``
+    and the path Gram ``M = (a_r^H a_r) * (conj(a_t) a_t^T)``, round-off
+    negatives clipped to 0.  The products run on blocks of two or more rows
+    and, up to 147 paths at the default arrays, below 2^16 multiply-adds:
+    numpy's OpenBLAS (0.3.31, 2 cores) runs those on the calling thread, like
+    the render's, while larger ones (and matrix-vector ones above ~4e3) woke
+    its thread pool, whose spinning threads slowed ``generate-dynamic``'s
+    render threads by ~25 %."""
+    a_r, a_t = grid.a_r, grid.a_t
+    coeff = grid.pulse * weights[grid.order]
+    k = coeff.shape[1]
+    step = max(2, (1 << 15) // (k * max(k, a_r.shape[0], a_t.shape[1])))
+    cols = np.array_split(np.arange(k), max(1, k // step))
+    gram = np.concatenate([(a_r[:, b].conj().T @ a_r) * (a_t[b].conj() @ a_t.T) for b in cols])
+    rows = np.array_split(coeff, max(1, len(coeff) // step))
+    energy = np.concatenate([np.einsum("ik,ik->i", c.conj() @ gram, c) for c in rows])
+    return np.maximum(energy.real, 0.0)
+
+
+def _select_window(energy: np.ndarray, energy_threshold: float) -> tuple[int, int]:
+    """Leftmost shortest contiguous window of rows with per-row ``energy``
+    keeping >= (1 - threshold) of the total.  Returns (start index, length)."""
     check("energy_threshold", energy_threshold, UNIT_OPEN)
-    energy = np.einsum("prt,prt->p", grid, grid.conj()).real
     total = float(energy.sum())
     if total <= 0.0:
-        return 0, grid.shape[0]
+        return 0, len(energy)
     target = (1.0 - energy_threshold) * total
     csum = np.concatenate(([0.0], np.cumsum(energy))).tolist()
     # Two pointers: window sums csum[stop] - csum[start] never fall as the end
     # grows or the start drops, so the first shortest window is the leftmost.
-    best = (0, grid.shape[0])
+    best = (0, len(energy))
     start = 0
     for stop in range(1, len(csum)):
         while start + 1 < stop and csum[stop] - csum[start + 1] >= target:
@@ -427,15 +450,16 @@ def sample_channel(
 
     The delay origin is the direct-path delay (grid index 0), so a present
     direct path lands exactly on a Nyquist-aligned tap.  The grid covers
-    every path's truncated pulse support and is then trimmed to the leftmost
-    shortest window holding at least ``1 - energy_threshold`` of the energy.
+    every path's truncated pulse support.  Its leftmost shortest window
+    holding at least ``1 - energy_threshold`` of the energy is chosen first,
+    and only that window is rendered.
     """
     table = _path_table(real, arrays)
     grid = _tap_grid(table, spec, oversampling)
-    taps = _render_taps(grid, table.static_scale * table.base_gain)
-    start, width = _select_window(taps, energy_threshold)
+    weights = table.static_scale * table.base_gain
+    start, width = _select_window(_row_energies(grid, weights), energy_threshold)
     return SampledChannel(
-        taps=taps[start : start + width],
+        taps=_render_taps(grid, weights, range(start, start + width)),
         sample_period=spec.symbol_period / oversampling,
         tap_offset=grid.n_lo + start,
     )

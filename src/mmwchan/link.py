@@ -6,11 +6,9 @@ vectors, stacks a window of P received symbol vectors, and applies the
 LMMSE estimator for the stream vector.  The achievable rate treats
 inter-symbol interference from neighboring transmit vectors as noise.
 
-``scipy.linalg`` is imported inside :func:`lmmse_operator`, its only user,
-and not at module level: importing it takes ~0.3 s, and ``generate-*``
-processes load this module (through the package) but never solve a
-covariance.  :func:`run_cdf_experiment` imports it before starting its
-process pool, so forked workers inherit it instead of each importing it.
+Each drop's taps come from :func:`mmwchan.channel.sample_channel`, which
+chooses the tap window from the rows' energies first and renders only the
+window; every linear solve here runs on numpy's own LAPACK.
 """
 
 from __future__ import annotations
@@ -186,21 +184,17 @@ def _stacked_covariance(model: StackedModel, tx_power: float) -> np.ndarray:
 def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     """LMMSE estimator E for the stream vector: C^-1 A (P_T/M).
 
-    The returned (M P, M) operator estimates s(n) as E^H r_stack.  A
-    singular covariance (possible only with degenerate inputs) surfaces as
-    a LinAlgError.
+    The returned (M P, M) operator estimates s(n) as E^H r_stack, solved by
+    LU with partial pivoting.  A singular covariance (possible only with
+    degenerate inputs) surfaces as a LinAlgError.
     """
-    import scipy.linalg
-
     check("tx_power", tx_power, POSITIVE)
     cov = _stacked_covariance(model, tx_power)
     try:
-        factor = scipy.linalg.cho_factor(cov)
-    except scipy.linalg.LinAlgError as err:
+        solution = np.linalg.solve(cov, model.signal_signatures)
+    except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"stacked covariance is singular: {err}") from err
-    return scipy.linalg.cho_solve(factor, model.signal_signatures) * (
-        tx_power / model.n_streams
-    )
+    return solution * (tx_power / model.n_streams)
 
 
 def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float) -> float:
@@ -340,7 +334,6 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     if n_jobs == 1:
         results = [_single_trial(config, k) for k in trials]
     else:
-        import scipy.linalg  # noqa: F401  (loaded once here, inherited by forked workers)
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, config.n_trials // (4 * n_jobs))

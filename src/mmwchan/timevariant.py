@@ -6,9 +6,9 @@ Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
 Snapshots are rendered by the banded per-tap products of
-:mod:`mmwchan.channel` with per-snapshot weights.  Snapshot 0 goes through
-the same full-grid render as static sampling and fixes the tap window;
-snapshots 1 ... N-1 then render only the window's rows.  The rows are split
+:mod:`mmwchan.channel` with per-snapshot weights.  The tap window is chosen
+first, from snapshot 0's row energies exactly as static sampling chooses it,
+and every snapshot renders only the window's rows.  The rows are split
 into interleaved blocks, one per usable core, rendered concurrently, and the
 snapshots are rendered in chunks: all at once into the returned array by
 :func:`evolve_channel`, or a few MiB at a time into one reused buffer by
@@ -39,6 +39,7 @@ from .channel import (
     ChannelRealization,
     _path_table,
     _render_taps,
+    _row_energies,
     _select_window,
     _tap_grid,
     _TapGrid,
@@ -127,13 +128,12 @@ CHUNK_BYTES = 8 << 20
 
 @dataclass(eq=False)
 class _Evolution:
-    """A drop's snapshot sequence before its moving snapshots are rendered:
-    what they are rendered from, and the facts of the tensor they form."""
+    """A drop's snapshot sequence before it is rendered: what it is
+    rendered from, and the facts of the tensor it forms."""
 
     grid: _TapGrid
     weights: np.ndarray  # (n_snapshots, paths) per-path weights, table order
     rows: range          # the tap window's rows of the grid
-    first: np.ndarray    # (P, N_R, N_T) snapshot 0, cut from the full-grid render
     sample_period: float
     tap_offset: int
     snapshot_period: float
@@ -141,7 +141,8 @@ class _Evolution:
     @property
     def shape(self) -> tuple[int, ...]:
         """(n_snapshots, P, N_R, N_T) of the whole sequence."""
-        return (len(self.weights),) + self.first.shape
+        n_rx, n_tx = self.grid.a_r.shape[0], self.grid.a_t.shape[1]
+        return (len(self.weights), len(self.rows), n_rx, n_tx)
 
 
 def _plan_evolution(
@@ -153,8 +154,8 @@ def _plan_evolution(
     energy_threshold: float,
     oversampling: int,
 ) -> _Evolution:
-    """Draw the per-snapshot path weights, render snapshot 0 on the full
-    grid and select the tap window from it; see :func:`evolve_channel`."""
+    """Draw the per-snapshot path weights and select the tap window from
+    snapshot 0's row energies; see :func:`evolve_channel`."""
     rho = mob.gain_correlation
     if rho is None:
         rho = default_gain_correlation(mob, real.carrier_frequency)
@@ -176,13 +177,11 @@ def _plan_evolution(
     weights = table.static_scale * gains
 
     grid = _tap_grid(table, spec, oversampling)
-    taps = _render_taps(grid, weights[0])
-    start, width = _select_window(taps, energy_threshold)
+    start, width = _select_window(_row_energies(grid, weights[0]), energy_threshold)
     return _Evolution(
         grid=grid,
         weights=weights,
         rows=range(start, start + width),
-        first=taps[start : start + width],
         sample_period=spec.symbol_period / oversampling,
         tap_offset=grid.n_lo + start,
         snapshot_period=mob.snapshot_period,
@@ -194,11 +193,11 @@ def _renderer(plan: _Evolution) -> Iterator[Callable[[int, np.ndarray], None]]:
     """A function ``render(first, out)`` that renders snapshots ``first ...
     first + len(out) - 1`` of ``plan`` into ``out``.
 
-    Snapshot 0 is copied from the plan.  The window's rows of the others are
-    split across the usable cores, interleaved so that the densely covered
-    middle rows spread evenly: block ``b`` of ``n`` renders rows
-    ``rows[b::n]`` into ``out[:, b::n]``, block 0 in the calling thread and
-    the others in helper threads (numpy releases the GIL in the products).
+    The window's rows are split across the usable cores, interleaved so
+    that the densely covered middle rows spread evenly: block ``b`` of ``n``
+    renders rows ``rows[b::n]`` into ``out[:, b::n]``, block 0 in the calling
+    thread and the others in helper threads (numpy releases the GIL in the
+    products).
     Every helper's result is taken, so an exception in any block reaches the
     caller.  The helpers live as long as the context: a module-level pool's
     threads would not survive the fork of a process pool, and would sit idle
@@ -212,11 +211,6 @@ def _renderer(plan: _Evolution) -> Iterator[Callable[[int, np.ndarray], None]]:
         _render_taps(plan.grid, weights, plan.rows[b::n_blocks], out=out[:, b::n_blocks])
 
     def render(first: int, out: np.ndarray) -> None:
-        if first == 0:
-            out[0] = plan.first
-            first, out = 1, out[1:]
-        if not len(out):
-            return
         weights = plan.weights[first : first + len(out)]
         helpers = [pool.submit(render_block, b, weights, out) for b in range(1, n_blocks)]
         render_block(0, weights, out)
@@ -235,9 +229,10 @@ def _snapshot_chunks(plan: _Evolution) -> Iterator[np.ndarray]:
     reused buffer of :data:`CHUNK_BYTES`, at least one snapshot and at most
     the sequence: each chunk is a view of that buffer, valid until the next
     one is drawn."""
-    n_snap = plan.shape[0]
-    per_chunk = min(max(1, CHUNK_BYTES // plan.first.nbytes), n_snap)
-    buffer = np.empty((per_chunk,) + plan.first.shape, dtype=np.complex128)
+    n_snap, *snapshot = plan.shape
+    snapshot_bytes = np.dtype(np.complex128).itemsize * int(np.prod(snapshot))
+    per_chunk = min(max(1, CHUNK_BYTES // snapshot_bytes), n_snap)
+    buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128)
     with _renderer(plan) as render:
         for start in range(0, n_snap, per_chunk):
             chunk = buffer[: min(per_chunk, n_snap - start)]
@@ -257,9 +252,10 @@ def evolve_channel(
     """Render a realization as a sequence of tap-tensor snapshots.
 
     Per-path AR(1) innovation draws run in path order (direct path last);
-    nothing is drawn at coefficient 1.  The tap window is selected once from
-    snapshot 0 — which equals the static sampling of the same realization —
-    and shared by all snapshots.
+    nothing is drawn at coefficient 1.  The tap window is selected once, from
+    snapshot 0's row energies before any snapshot is rendered, and shared by
+    all snapshots; snapshot 0 equals the static sampling of the same
+    realization.
     """
     plan = _plan_evolution(real, arrays, spec, mob, rng, energy_threshold, oversampling)
     snapshots = np.empty(plan.shape, dtype=np.complex128)

@@ -215,6 +215,17 @@ def test_lmmse_operator_rejects_bad_power():
         lmmse_operator(model, 0.0)
 
 
+def test_lmmse_operator_names_a_singular_covariance():
+    # Zero taps and a zero combiner leave C = 0: no signal, no noise.
+    model = StackedModel(
+        projected_taps=np.zeros((3, 2, 2), dtype=np.complex128),
+        combiner=np.zeros((4, 2), dtype=np.complex128),
+        noise_variance=1.0,
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="stacked covariance is singular"):
+        lmmse_operator(model, 1.0)
+
+
 # -- achievable rate -------------------------------------------------------
 
 

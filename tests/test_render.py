@@ -6,9 +6,11 @@ steering matrices over the paths whose truncated pulse covers it;
 in a different order, so taps agree to a relative tolerance fixed from
 float64 round-off over ~100 terms, while the selected window must agree
 exactly; the two-pointer window scan must pick the oracle's window on
-arbitrary energies too.  The bitwise contracts (snapshot 0 equals the static tensor, the
-static limit is frozen, a realization read back from its metadata re-samples
-identically) are checked in the same configurations.  The band itself is
+arbitrary energies too, and the row energies it is given, computed from the
+path Gram before any render, must match the rendered rows' energies.  The
+bitwise contracts (snapshot 0 equals the static tensor, the static limit is
+frozen, a realization read back from its metadata re-samples identically)
+are checked in the same configurations.  The band itself is
 checked on arbitrary delays, any window of rows under any set of weights
 must render as within the full grid, the moving snapshots must not depend
 on how many row blocks or snapshot chunks render them, and the tensor files
@@ -41,7 +43,14 @@ from mmwchan import (
     sample_channel,
     timevariant,
 )
-from mmwchan.channel import _path_table, _PathTable, _render_taps, _select_window, _tap_grid
+from mmwchan.channel import (
+    _path_table,
+    _PathTable,
+    _render_taps,
+    _row_energies,
+    _select_window,
+    _tap_grid,
+)
 from mmwchan.geometry import RayAngles
 from mmwchan.io import read_realization_metadata, write_realization_metadata
 from mmwchan.sampling import RngStream
@@ -172,7 +181,31 @@ tap_energies = st.lists(
 )
 def test_window_scan_matches_width_search(energies, threshold):
     grid = np.sqrt(np.array(energies, dtype=complex))[:, None, None]
-    assert _select_window(grid, threshold) == oracle.select_window(grid, threshold)
+    energy = np.einsum("prt,prt->p", grid, grid.conj()).real
+    assert _select_window(energy, threshold) == oracle.select_window(grid, threshold)
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "1x1"])
+def test_gram_row_energies_match_rendered_rows_and_their_window(name):
+    """The row energies the window is chosen from, taken as Hermitian forms
+    in the path Gram before any render, equal the rendered rows' energies
+    within round-off of the total, and pick the full-grid render's window."""
+    base = CONFIGS.get(name) or ScenarioConfig(
+        rx_horizontal=1, rx_vertical=1, tx_horizontal=1, tx_vertical=1, n_streams=1
+    )
+    for seed in range(50):
+        config, real = _drop(base, seed)
+        table = _path_table(real, config.arrays())
+        grid = _tap_grid(table, config.pulse(), config.oversampling)
+        weights = table.static_scale * table.base_gain
+        full = _render_taps(grid, weights)
+        rendered = np.einsum("prt,prt->p", full, full.conj()).real
+        energy = _row_energies(grid, weights)
+        assert np.all(energy >= 0.0), seed
+        assert np.max(np.abs(energy - rendered)) <= 1e-12 * rendered.sum(), seed
+        for threshold in (config.energy_threshold, 0.1):
+            want = oracle.select_window(full, threshold)
+            assert _select_window(energy, threshold) == want, (seed, threshold)
 
 
 # -- the band ----------------------------------------------------------------
@@ -283,8 +316,9 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     """Every product the render hands to BLAS is one tap's (N_R x K) @
-    (K x N_T) with K <= paths, one per covered tap (and snapshot): a render
-    that folds taps or snapshots into one product fails here on any machine,
+    (K x N_T) with K <= paths, one per covered tap of the window (and
+    snapshot), which is chosen before anything is rendered: a render that
+    folds taps or snapshots into one product fails here on any machine,
     while the thread test below can only show what the BLAS it runs on does."""
     config, real = _drop(CONFIGS[name], 3)
     config = dataclasses.replace(config, v_rx_mps=20.0, n_snapshots=8)
@@ -305,14 +339,14 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
-    _sample(config, real)
-    assert sum(products) == covered.sum()
+    static = _sample(config, real)
+    start = static.tap_offset - grid.n_lo
+    in_window = covered[start : start + static.n_taps].sum()
+    assert sum(products) == in_window
 
     products.clear()
-    moving = _evolve(config, real, config.mobility(), 3)
-    start = moving.tap_offset - grid.n_lo
-    in_window = covered[start : start + moving.snapshots.shape[1]].sum()
-    assert sum(products) == covered.sum() + (config.n_snapshots - 1) * in_window
+    _evolve(config, real, config.mobility(), 3)
+    assert sum(products) == config.n_snapshots * in_window
 
 
 def _window_rows(config, real, channel):

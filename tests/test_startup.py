@@ -1,4 +1,5 @@
-"""Start-up cost: each command imports only the libraries it runs."""
+"""Start-up cost: each command imports only the libraries it runs, and none
+loads scipy."""
 
 import json
 import os
@@ -43,16 +44,37 @@ print(json.dumps(loaded))
 """
 
 
-def test_generate_commands_load_no_scipy_and_no_process_pool(tmp_path):
+# The same for eval-cdf with a process pool: the parent, whose modules the
+# forked workers inherit, loads no scipy module either.
+_POOL_COMMAND = """
+import json, sys
+
+from mmwchan import cli
+
+cli.main(["eval-cdf", "--set", "n_trials=4", "--jobs", "2", "--output", sys.argv[1]])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _run_fresh(script, *args):
+    """Last stdout line of ``script`` run in a fresh interpreter, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COMMANDS, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_generate_commands_load_no_scipy_and_no_process_pool(tmp_path):
+    loaded = _run_fresh(_COMMANDS, str(tmp_path))
     assert loaded["generate"] == []
-    assert "scipy.linalg" in loaded["eval-cdf"]
+    assert loaded["eval-cdf"] == []
+
+
+def test_pooled_eval_cdf_loads_no_scipy(tmp_path):
+    assert _run_fresh(_POOL_COMMAND, str(tmp_path / "cdf.csv")) == []
 
 
 def test_physical_constants_equal_scipy_exactly():

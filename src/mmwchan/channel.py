@@ -374,12 +374,13 @@ def _render_taps(
     window, keeps snapshot 0 and the frozen limit of
     :func:`mmwchan.timevariant.evolve_channel` equal to the static taps, also
     when those are recomputed in another process, and lets that function
-    render interleaved blocks of rows in concurrent threads, and chunks of
-    snapshots one after another, with the bits of one call.  (A render
-    folded into one (S x K) @ (K x N_R N_T) product would not: numpy hands
-    its one-snapshot case to ``gemv`` and the stacked case to ``gemm``,
-    which round differently.)  As a precaution, each product is also at most
-    N_R * N_T * paths multiply-adds, below OpenBLAS's threading threshold.
+    render chunks of snapshots one after another with the bits of one call.
+    (A render folded into one (S x K) @ (K x N_R N_T) product would not:
+    numpy hands its one-snapshot case to ``gemv`` and the stacked case to
+    ``gemm``, which round differently.)  Each product is N_R * N_T * K
+    multiply-adds.  Numpy's OpenBLAS (0.3.31, 2 cores) was measured to
+    thread complex products from ~6.5e4 multiply-adds, so at the default
+    20 x 30 arrays a row covered by more than ~109 paths can wake its pool.
     """
     if rows is None:
         rows = range(grid.pulse.shape[0])
@@ -404,9 +405,9 @@ def _row_energies(grid: _TapGrid, weights: np.ndarray) -> np.ndarray:
     negatives clipped to 0.  The products run on blocks of two or more rows
     and, up to 147 paths at the default arrays, below 2^16 multiply-adds:
     numpy's OpenBLAS (0.3.31, 2 cores) runs those on the calling thread, like
-    the render's, while larger ones (and matrix-vector ones above ~4e3) woke
-    its thread pool, whose spinning threads slowed ``generate-dynamic``'s
-    render threads by ~25 %."""
+    most of the render's, while larger ones (and matrix-vector ones above
+    ~4e3) woke its thread pool, whose spinning threads slowed
+    ``generate-dynamic``'s (then threaded) render by ~25 %."""
     a_r, a_t = grid.a_r, grid.a_t
     coeff = grid.pulse * weights[grid.order]
     k = coeff.shape[1]

@@ -59,6 +59,12 @@ def _metadata_path(args) -> Path:
     return Path(args.output).with_suffix(".json")
 
 
+def _run_info(command: str, config, **facts) -> dict:
+    """The ``run`` object of a sidecar or trial log: the command, its seed
+    and configuration, and the command's own ``facts``."""
+    return {"command": command, "seed": config.seed, "config": asdict(config), **facts}
+
+
 def cmd_generate_static(args) -> int:
     config = _load_config(args)
     rng = RngStream(config.seed, REALIZATION_STREAM).generator()
@@ -71,15 +77,14 @@ def cmd_generate_static(args) -> int:
         config.oversampling,
     )
     write_static_channel(args.output, channel)
-    run_info = {
-        "command": "generate-static",
-        "seed": config.seed,
-        "stream_id": REALIZATION_STREAM,
-        "config": asdict(config),
-        "n_taps": channel.n_taps,
-        "tap_offset": channel.tap_offset,
-        "sample_period_s": channel.sample_period,
-    }
+    run_info = _run_info(
+        "generate-static",
+        config,
+        stream_id=REALIZATION_STREAM,
+        n_taps=channel.n_taps,
+        tap_offset=channel.tap_offset,
+        sample_period_s=channel.sample_period,
+    )
     write_realization_metadata(_metadata_path(args), real, run_info)
     print(
         f"wrote {args.output}: {channel.n_taps} taps "
@@ -113,20 +118,19 @@ def cmd_generate_dynamic(args) -> int:
         _snapshot_chunks(plan),
     )
     n_snapshots, n_taps = plan.shape[:2]
-    run_info = {
-        "command": "generate-dynamic",
-        "seed": config.seed,
-        "stream_ids": {
+    run_info = _run_info(
+        "generate-dynamic",
+        config,
+        stream_ids={
             "realization": REALIZATION_STREAM,
             "evolution": EVOLUTION_STREAM,
         },
-        "config": asdict(config),
-        "n_snapshots": n_snapshots,
-        "snapshot_period_s": plan.snapshot_period,
-        "n_taps": n_taps,
-        "tap_offset": plan.tap_offset,
-        "sample_period_s": plan.sample_period,
-    }
+        n_snapshots=n_snapshots,
+        snapshot_period_s=plan.snapshot_period,
+        n_taps=n_taps,
+        tap_offset=plan.tap_offset,
+        sample_period_s=plan.sample_period,
+    )
     write_realization_metadata(_metadata_path(args), real, run_info)
     print(
         f"wrote {args.output}: {n_snapshots} snapshots x "
@@ -143,15 +147,14 @@ def cmd_eval_cdf(args) -> int:
     result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)
     if args.trial_log is not None:
-        run_info = {
-            "command": "eval-cdf",
-            "seed": config.seed,
-            "n_trials": config.n_trials,
-            "n_streams": config.n_streams,
-            "tx_power_w": config.tx_power_w,
-            "noise_variance_w": config.noise_variance(),
-            "config": asdict(config),
-        }
+        run_info = _run_info(
+            "eval-cdf",
+            config,
+            n_trials=config.n_trials,
+            n_streams=config.n_streams,
+            tx_power_w=config.tx_power_w,
+            noise_variance_w=config.noise_variance(),
+        )
         write_trial_log(args.trial_log, run_info, result.trials)
     se = result.spectral_efficiency
     print(

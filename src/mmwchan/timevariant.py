@@ -8,26 +8,21 @@ phase wanders.
 Snapshots are rendered by the banded per-tap products of
 :mod:`mmwchan.channel` with per-snapshot weights.  The tap window is chosen
 first, from snapshot 0's row energies exactly as static sampling chooses it,
-and every snapshot renders only the window's rows.  The rows are split
-into interleaved blocks, one per usable core, rendered concurrently, and the
-snapshots are rendered in chunks: all at once into the returned array by
-:func:`evolve_channel`, or a few MiB at a time into one reused buffer by
-``generate-dynamic``, which writes each chunk before rendering the next.
-Every block still runs one product per tap and chunk, stacked over the
-chunk's snapshots, and each tap's product sees the same path range, pulse
-row and weights whichever block, thread or chunk runs it, so the bits depend
-on neither the block count, the core count nor the chunk size.  Snapshot 0
-reproduces the static channel bit for bit, and so does every snapshot in
-the static limit (zero velocity, coefficient 1); see
+and every snapshot renders only the window's rows.  The snapshots are
+rendered in chunks on the calling thread: all at once into the returned
+array by :func:`evolve_channel`, or a few MiB at a time into one reused
+buffer by ``generate-dynamic``, which writes each chunk before rendering the
+next.  Every chunk runs one product per tap, stacked over the chunk's
+snapshots, and each tap's product sees the same path range, pulse row and
+weights whichever chunk runs it, so the bits do not depend on the chunk
+size.  Snapshot 0 reproduces the static channel bit for bit, and so does
+every snapshot in the static limit (zero velocity, coefficient 1); see
 :func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +106,6 @@ def default_gain_correlation(mob: MobilitySpec, carrier_frequency: float) -> flo
     return float(np.clip(np.exp(-2.0 * np.pi * nu_max * mob.snapshot_period), 0.0, 1.0))
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 #: Bytes of the one buffer that ``generate-dynamic`` renders and writes its
 #: snapshots through, chunk by chunk (a chunk holds at least one snapshot),
 #: so the command's memory does not grow with the snapshot count.
@@ -188,42 +174,6 @@ def _plan_evolution(
     )
 
 
-@contextmanager
-def _renderer(plan: _Evolution) -> Iterator[Callable[[int, np.ndarray], None]]:
-    """A function ``render(first, out)`` that renders snapshots ``first ...
-    first + len(out) - 1`` of ``plan`` into ``out``.
-
-    The window's rows are split across the usable cores, interleaved so
-    that the densely covered middle rows spread evenly: block ``b`` of ``n``
-    renders rows ``rows[b::n]`` into ``out[:, b::n]``, block 0 in the calling
-    thread and the others in helper threads (numpy releases the GIL in the
-    products).
-    Every helper's result is taken, so an exception in any block reaches the
-    caller.  The helpers live as long as the context: a module-level pool's
-    threads would not survive the fork of a process pool, and would sit idle
-    in library callers.  There are none on one core, for a one-row window or
-    for a single snapshot.
-    """
-    n_snap = plan.shape[0]
-    n_blocks = min(_usable_cores(), len(plan.rows)) if n_snap > 1 else 1
-
-    def render_block(b: int, weights: np.ndarray, out: np.ndarray) -> None:
-        _render_taps(plan.grid, weights, plan.rows[b::n_blocks], out=out[:, b::n_blocks])
-
-    def render(first: int, out: np.ndarray) -> None:
-        weights = plan.weights[first : first + len(out)]
-        helpers = [pool.submit(render_block, b, weights, out) for b in range(1, n_blocks)]
-        render_block(0, weights, out)
-        for helper in helpers:
-            helper.result()
-
-    if n_blocks == 1:
-        yield render
-        return
-    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
-        yield render
-
-
 def _snapshot_chunks(plan: _Evolution) -> Iterator[np.ndarray]:
     """The whole sequence in time order, rendered chunk by chunk into one
     reused buffer of :data:`CHUNK_BYTES`, at least one snapshot and at most
@@ -233,11 +183,10 @@ def _snapshot_chunks(plan: _Evolution) -> Iterator[np.ndarray]:
     snapshot_bytes = np.dtype(np.complex128).itemsize * int(np.prod(snapshot))
     per_chunk = min(max(1, CHUNK_BYTES // snapshot_bytes), n_snap)
     buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128)
-    with _renderer(plan) as render:
-        for start in range(0, n_snap, per_chunk):
-            chunk = buffer[: min(per_chunk, n_snap - start)]
-            render(start, chunk)
-            yield chunk
+    for start in range(0, n_snap, per_chunk):
+        chunk = buffer[: min(per_chunk, n_snap - start)]
+        _render_taps(plan.grid, plan.weights[start : start + len(chunk)], plan.rows, out=chunk)
+        yield chunk
 
 
 def evolve_channel(
@@ -258,11 +207,8 @@ def evolve_channel(
     realization.
     """
     plan = _plan_evolution(real, arrays, spec, mob, rng, energy_threshold, oversampling)
-    snapshots = np.empty(plan.shape, dtype=np.complex128)
-    with _renderer(plan) as render:
-        render(0, snapshots)
     return TimeVariantChannel(
-        snapshots=snapshots,
+        snapshots=_render_taps(plan.grid, plan.weights, plan.rows),
         sample_period=plan.sample_period,
         tap_offset=plan.tap_offset,
         snapshot_period=plan.snapshot_period,

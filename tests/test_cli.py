@@ -155,7 +155,7 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
     calls, written = [], []
 
     def render_failing_in_a_later_chunk(grid, weights, rows=None, out=None):
-        # call 1 renders snapshot 0's full grid, calls 2-4 snapshots 1-3
+        # call k renders snapshot k - 1, so calls 1-4 write snapshots 0-3
         calls.append(rows)
         if len(calls) == 5:
             written.append(path.stat().st_size)
@@ -163,7 +163,6 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
         return render(grid, weights, rows, out=out)
 
     monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1)  # one snapshot per chunk
-    monkeypatch.setattr(timevariant, "_usable_cores", lambda: 1)
     monkeypatch.setattr(timevariant, "_render_taps", render_failing_in_a_later_chunk)
     with pytest.raises(RuntimeError, match="render failed"):
         run_cli("generate-dynamic", "--set", "v_rx_mps=20", "--set", "n_snapshots=8",
@@ -176,7 +175,8 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
 def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
     """256 snapshots of a drop whose whole tensor is 81 MB stream through one
     chunk buffer: the peak traced allocation stays below three chunks plus
-    snapshot 0 on the full grid, which selects the tap window."""
+    the size of one snapshot on the full grid, a margin for the plan (path
+    table, tap grid and the row energies that select the tap window)."""
     overrides = {"seed": 5, "v_rx_mps": 20, "n_snapshots": 256}
     config = parse_config(None, {k: str(v) for k, v in overrides.items()})
     real = realize_channel(config, RngStream(5, REALIZATION_STREAM).generator())

@@ -13,8 +13,8 @@ frozen, a realization read back from its metadata re-samples identically)
 are checked in the same configurations.  The band itself is
 checked on arbitrary delays, any window of rows under any set of weights
 must render as within the full grid, the moving snapshots must not depend
-on how many row blocks or snapshot chunks render them, and the tensor files
-must not depend on the BLAS thread count or the usable cores.
+on how many snapshot chunks render them, and the tensor files must not
+depend on the BLAS thread count or the usable cores.
 """
 
 import dataclasses
@@ -22,8 +22,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,6 @@ from hypothesis import strategies as st
 
 import mmwchan
 import render_oracle as oracle
-from conftest import dyadic_pulse
 from mmwchan import (
     MobilitySpec,
     PulseSpec,
@@ -54,7 +51,6 @@ from mmwchan.channel import (
 from mmwchan.geometry import RayAngles
 from mmwchan.io import read_realization_metadata, write_realization_metadata
 from mmwchan.sampling import RngStream
-from test_channel import delta_realization, small_arrays
 
 #: Tap tolerance, relative to the drop's largest tap entry.
 RTOL = 1e-12
@@ -349,13 +345,6 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     assert sum(products) == config.n_snapshots * in_window
 
 
-def _window_rows(config, real, channel):
-    """The grid rows of ``channel``'s tap window."""
-    grid = _tap_grid(_path_table(real, config.arrays()), config.pulse(), config.oversampling)
-    start = channel.tap_offset - grid.n_lo
-    return range(start, start + channel.n_taps)
-
-
 def _stream(config, real, mob, seed):
     """The chunks ``generate-dynamic`` writes, copied out of their buffer."""
     plan = timevariant._plan_evolution(
@@ -367,83 +356,18 @@ def _stream(config, real, mob, seed):
 
 @pytest.mark.parametrize("n_snapshots", [2, 3, 8, 64])
 def test_moving_snapshots_do_not_depend_on_block_count(n_snapshots, monkeypatch):
-    """Any number of interleaved row blocks, and any chunking of the
-    snapshots, renders the bits of one block in one chunk.  There are
-    min(cores, rows) - 1 helper threads per sequence, none on one core."""
+    """Any chunking of the snapshots renders the bits of ``evolve_channel``,
+    which renders the whole sequence in one call."""
     config, real = _drop(CONFIGS["oversampling2"], 5)
     mob = MobilitySpec(v_rx=20.0, v_tx=3.0, snapshot_period=1e-6, n_snapshots=n_snapshots)
-    pools, blocks = [], []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    render = timevariant._render_taps
-
-    def recording_render(grid, weights, rows=None, out=None):
-        if rows is not None:
-            blocks.append(rows)
-        return render(grid, weights, rows, out=out)
-
-    monkeypatch.setattr(timevariant, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(timevariant, "_render_taps", recording_render)
-    channel = _evolve(config, real, mob, 5)
-    reference, window = channel.snapshots, _window_rows(config, real, channel)
-    snapshot_bytes = reference[0].nbytes
-    assert len(window) > 5
-    for cores in (1, 2, 3, 5, 64):
-        monkeypatch.setattr(timevariant, "_usable_cores", lambda: cores)
-        n_blocks = min(cores, len(window))
-        pools.clear()
-        blocks.clear()
-        snapshots = _evolve(config, real, mob, 5).snapshots
-        assert pools == ([n_blocks - 1] if n_blocks > 1 else []), cores
-        expected_blocks = [window[b::n_blocks] for b in range(n_blocks)]
-        assert sorted(blocks, key=lambda r: r.start) == expected_blocks, cores
-        assert np.array_equal(snapshots, reference), cores
-        # one snapshot per chunk, a chunk that divides neither N nor N - 1,
-        # and one chunk larger than the whole tensor
-        for per_chunk in (1, 5, n_snapshots + 1):
-            monkeypatch.setattr(timevariant, "CHUNK_BYTES", per_chunk * snapshot_bytes)
-            pools.clear()
-            chunks = _stream(config, real, mob, 5)
-            assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
-            assert pools == ([n_blocks - 1] if n_blocks > 1 else []), (cores, per_chunk)
-            assert np.array_equal(np.concatenate(chunks), reference), (cores, per_chunk)
-    # a one-row window starts no helper, here on 64 cores
-    pools.clear()
-    one_row = evolve_channel(
-        delta_realization([0.0], [-80.0]), small_arrays(), dyadic_pulse(), mob,
-        np.random.default_rng(0),
-    )
-    assert one_row.n_taps == 1 and pools == []
-
-
-def test_error_in_a_helper_block_reaches_the_caller(monkeypatch):
-    config, real = _drop(CONFIGS["defaults"], 3)
-    mob = MobilitySpec(v_rx=20.0, snapshot_period=1e-6, n_snapshots=8)
-    window = _window_rows(config, real, _evolve(config, real, mob, 3))
-    assert len(window) >= 3
-    render = timevariant._render_taps
-    failed = []
-
-    def render_failing_later_blocks(grid, weights, rows=None, out=None):
-        if rows is not None and rows.start != window.start:
-            failed.append(threading.current_thread() is threading.main_thread())
-            raise RuntimeError("block failed")
-        return render(grid, weights, rows, out=out)
-
-    monkeypatch.setattr(timevariant, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(timevariant, "_render_taps", render_failing_later_blocks)
-    with pytest.raises(RuntimeError, match="block failed"):
-        _evolve(config, real, mob, 3)
-    assert len(failed) == 2 and not any(failed)  # raised in the two helper threads only
-    failed.clear()
-    monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1)
-    with pytest.raises(RuntimeError, match="block failed"):
-        _stream(config, real, mob, 3)
-    assert len(failed) == 2 and not any(failed)  # snapshot 1's helpers
+    reference = _evolve(config, real, mob, 5).snapshots
+    # one snapshot per chunk, a chunk that divides neither N nor N - 1,
+    # and one chunk larger than the whole tensor
+    for per_chunk in (1, 5, n_snapshots + 1):
+        monkeypatch.setattr(timevariant, "CHUNK_BYTES", per_chunk * reference[0].nbytes)
+        chunks = _stream(config, real, mob, 5)
+        assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), reference), per_chunk
 
 
 # Runs in a fresh interpreter: the BLAS thread count is fixed at load.
@@ -460,13 +384,10 @@ for seed in range(3):
 """
 
 
-# Prepended to _GENERATE: the child may run on one core only, so
-# generate-dynamic renders its moving snapshots' rows in one block.
+# Prepended to _GENERATE: the child may run on one core only.
 _ONE_CORE = """
 import os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from mmwchan.timevariant import _usable_cores
-assert _usable_cores() == 1
 """
 
 

@@ -16,8 +16,8 @@ form one contiguous range of the sorted paths, and under per-path weights
 ``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range
 only: one small matrix product per tap.  A tap's value never depends on
 which other taps, or which other weight sets, are rendered with it, so the
-window is chosen first, from each tap's energy as a Hermitian form in the
-path Gram (:func:`_row_energies`), and only the window's taps are rendered.
+window is chosen first (:func:`_plan_taps`), from each tap's energy as a
+Hermitian form in the path Gram, and only the window's taps are rendered.
 """
 
 from __future__ import annotations
@@ -357,11 +357,11 @@ def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid
 def _render_taps(
     grid: _TapGrid,
     weights: np.ndarray,
-    rows: range | None = None,
+    rows: range,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Taps at ``rows`` of the grid (all by default) under per-path
-    ``weights`` of shape (..., paths) in table order; (..., rows, N_R, N_T).
+    """Taps at ``rows`` of the grid under per-path ``weights`` of shape
+    (..., paths) in table order; (..., rows, N_R, N_T).
 
     Tap ``i`` is ``A_r^T diag(pulse[i] * w) conj(A_t)`` over the paths
     covering it only: one (N_R x K) @ (K x N_T) product over the columns
@@ -378,12 +378,10 @@ def _render_taps(
     (A render folded into one (S x K) @ (K x N_R N_T) product would not:
     numpy hands its one-snapshot case to ``gemv`` and the stacked case to
     ``gemm``, which round differently.)  Each product is N_R * N_T * K
-    multiply-adds.  Numpy's OpenBLAS (0.3.31, 2 cores) was measured to
-    thread complex products from ~6.5e4 multiply-adds, so at the default
-    20 x 30 arrays a row covered by more than ~109 paths can wake its pool.
+    multiply-adds; numpy's OpenBLAS (0.3.31, 2 cores) threads complex ones
+    from ~6.5e4, so at 20 x 30 arrays a row covered by more than ~109 paths
+    can render with bits that depend on the BLAS thread count.
     """
-    if rows is None:
-        rows = range(grid.pulse.shape[0])
     w = weights[..., grid.order]
     if out is None:
         shape = w.shape[:-1] + (len(rows), grid.a_r.shape[0], grid.a_t.shape[1])
@@ -402,20 +400,10 @@ def _row_energies(grid: _TapGrid, weights: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every grid row's tap under per-path
     ``weights`` (table order), unrendered: ``c^H M c`` with ``c = pulse[i] * w``
     and the path Gram ``M = (a_r^H a_r) * (conj(a_t) a_t^T)``, round-off
-    negatives clipped to 0.  The products run on blocks of two or more rows
-    and, up to 147 paths at the default arrays, below 2^16 multiply-adds:
-    numpy's OpenBLAS (0.3.31, 2 cores) runs those on the calling thread, like
-    most of the render's, while larger ones (and matrix-vector ones above
-    ~4e3) woke its thread pool, whose spinning threads slowed
-    ``generate-dynamic``'s (then threaded) render by ~25 %."""
-    a_r, a_t = grid.a_r, grid.a_t
+    negatives clipped to 0."""
     coeff = grid.pulse * weights[grid.order]
-    k = coeff.shape[1]
-    step = max(2, (1 << 15) // (k * max(k, a_r.shape[0], a_t.shape[1])))
-    cols = np.array_split(np.arange(k), max(1, k // step))
-    gram = np.concatenate([(a_r[:, b].conj().T @ a_r) * (a_t[b].conj() @ a_t.T) for b in cols])
-    rows = np.array_split(coeff, max(1, len(coeff) // step))
-    energy = np.concatenate([np.einsum("ik,ik->i", c.conj() @ gram, c) for c in rows])
+    gram = (grid.a_r.conj().T @ grid.a_r) * (grid.a_t.conj() @ grid.a_t.T)
+    energy = np.einsum("ik,ik->i", coeff.conj() @ gram, coeff)
     return np.maximum(energy.real, 0.0)
 
 
@@ -440,6 +428,42 @@ def _select_window(energy: np.ndarray, energy_threshold: float) -> tuple[int, in
     return best
 
 
+@dataclass(eq=False)
+class _TapPlan:
+    """A drop's grid, per-path weights and tap window, before rendering."""
+
+    grid: _TapGrid
+    weights: np.ndarray  # (n_snapshots, paths) per-path weights, table order
+    rows: range          # the tap window's rows of the grid
+    sample_period: float
+
+    @property
+    def tap_offset(self) -> int:
+        return self.grid.n_lo + self.rows.start
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
+        n_rx, n_tx = self.grid.a_r.shape[0], self.grid.a_t.shape[1]
+        return (len(self.weights), len(self.rows), n_rx, n_tx)
+
+
+def _plan_taps(
+    table: _PathTable,
+    spec: PulseSpec,
+    weights: np.ndarray,
+    energy_threshold: float,
+    oversampling: int,
+) -> _TapPlan:
+    """Lay ``table`` on its delay grid and choose the leftmost shortest window
+    of rows holding >= (1 - energy_threshold) of the energy under
+    ``weights[0]``, the one window static and time-variant renders share."""
+    grid = _tap_grid(table, spec, oversampling)
+    start, width = _select_window(_row_energies(grid, weights[0]), energy_threshold)
+    rows = range(start, start + width)
+    return _TapPlan(grid, weights, rows, spec.symbol_period / oversampling)
+
+
 def sample_channel(
     real: ChannelRealization,
     arrays: ArrayPair,
@@ -456,13 +480,12 @@ def sample_channel(
     and only that window is rendered.
     """
     table = _path_table(real, arrays)
-    grid = _tap_grid(table, spec, oversampling)
     weights = table.static_scale * table.base_gain
-    start, width = _select_window(_row_energies(grid, weights), energy_threshold)
+    plan = _plan_taps(table, spec, weights[None], energy_threshold, oversampling)
     return SampledChannel(
-        taps=_render_taps(grid, weights, range(start, start + width)),
-        sample_period=spec.symbol_period / oversampling,
-        tap_offset=grid.n_lo + start,
+        taps=_render_taps(plan.grid, plan.weights[0], plan.rows),
+        sample_period=plan.sample_period,
+        tap_offset=plan.tap_offset,
     )
 
 

@@ -53,10 +53,19 @@ def _load_config(args):
         raise SystemExit(f"configuration error: {err}") from None
 
 
+def _refuse_same_file(first: str, first_path: Path, second: str, second_path: Path) -> None:
+    """Exit when two outputs would be one file, the second written over the
+    first; the commands call it before any drop runs."""
+    if Path(first_path).resolve() == Path(second_path).resolve():
+        raise SystemExit(f"{first} {first_path} and {second} {second_path} are the same file")
+
+
 def _metadata_path(args) -> Path:
-    if args.metadata is not None:
-        return args.metadata
-    return Path(args.output).with_suffix(".json")
+    label, path = "--metadata", args.metadata
+    if path is None:
+        label, path = "its default sidecar", Path(args.output).with_suffix(".json")
+    _refuse_same_file("--output", args.output, label, path)
+    return path
 
 
 def _run_info(command: str, config, **facts) -> dict:
@@ -66,6 +75,7 @@ def _run_info(command: str, config, **facts) -> dict:
 
 
 def cmd_generate_static(args) -> int:
+    metadata = _metadata_path(args)
     config = _load_config(args)
     rng = RngStream(config.seed, REALIZATION_STREAM).generator()
     real = realize_channel(config, rng)
@@ -85,7 +95,7 @@ def cmd_generate_static(args) -> int:
         tap_offset=channel.tap_offset,
         sample_period_s=channel.sample_period,
     )
-    write_realization_metadata(_metadata_path(args), real, run_info)
+    write_realization_metadata(metadata, real, run_info)
     print(
         f"wrote {args.output}: {channel.n_taps} taps "
         f"({channel.n_rx}x{channel.n_tx}), offset {channel.tap_offset}, "
@@ -100,21 +110,23 @@ def cmd_generate_dynamic(args) -> int:
     by :data:`mmwchan.timevariant.CHUNK_BYTES`, not by the snapshot count;
     the file equals :func:`mmwchan.timevariant.evolve_channel` written by
     :func:`mmwchan.io.write_dynamic_channel`."""
+    metadata = _metadata_path(args)
     config = _load_config(args)
     realization_rng = RngStream(config.seed, REALIZATION_STREAM).generator()
     real = realize_channel(config, realization_rng)
     evolution_rng = RngStream(config.seed, EVOLUTION_STREAM).generator()
+    mob = config.mobility()
     plan = _plan_evolution(
         real,
         config.arrays(),
         config.pulse(),
-        config.mobility(),
+        mob,
         evolution_rng,
         config.energy_threshold,
         config.oversampling,
     )
     write_dynamic_chunks(
-        args.output, plan.shape, plan.sample_period, plan.tap_offset, plan.snapshot_period,
+        args.output, plan.shape, plan.sample_period, plan.tap_offset, mob.snapshot_period,
         _snapshot_chunks(plan),
     )
     n_snapshots, n_taps = plan.shape[:2]
@@ -126,12 +138,12 @@ def cmd_generate_dynamic(args) -> int:
             "evolution": EVOLUTION_STREAM,
         },
         n_snapshots=n_snapshots,
-        snapshot_period_s=plan.snapshot_period,
+        snapshot_period_s=mob.snapshot_period,
         n_taps=n_taps,
         tap_offset=plan.tap_offset,
         sample_period_s=plan.sample_period,
     )
-    write_realization_metadata(_metadata_path(args), real, run_info)
+    write_realization_metadata(metadata, real, run_info)
     print(
         f"wrote {args.output}: {n_snapshots} snapshots x "
         f"{n_taps} taps, offset {plan.tap_offset}, "
@@ -143,6 +155,8 @@ def cmd_generate_dynamic(args) -> int:
 def cmd_eval_cdf(args) -> int:
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be an integer >= 1, got {args.jobs}")
+    if args.trial_log is not None:
+        _refuse_same_file("--output", args.output, "--trial-log", args.trial_log)
     config = _load_config(args)
     result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)

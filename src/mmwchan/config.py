@@ -173,17 +173,28 @@ def _convert(key: str, text: str, target) -> object:
     return text.strip()
 
 
+def _config_lines(path) -> list[str]:
+    """The lines of a configuration file, or a ValueError naming the file
+    when it cannot be read or decoded."""
+    try:
+        return Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ValueError(f"{path}: cannot read configuration file: {reason}") from None
+
+
 def parse_config(path=None, overrides=None) -> ScenarioConfig:
     """Build a validated configuration from a file and/or override pairs.
 
     ``path`` points to a flat ``key = value`` text file ('#' starts a
     comment); ``overrides`` maps keys to value strings and wins over the
     file.  Unknown keys, keys repeated in the file and malformed values
-    raise ValueError naming the key; omitted keys take their defaults.
+    raise ValueError naming the key, and an unreadable file one naming the
+    file; omitted keys take their defaults.
     """
     raw: dict[str, str] = {}
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_config_lines(path), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -6,9 +6,9 @@ Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
 Snapshots are rendered by the banded per-tap products of
-:mod:`mmwchan.channel` with per-snapshot weights.  The tap window is chosen
-first, from snapshot 0's row energies exactly as static sampling chooses it,
-and every snapshot renders only the window's rows.  The snapshots are
+:mod:`mmwchan.channel` with per-snapshot weights, on the tap window that
+channel plans from snapshot 0 as it does for static sampling, so every
+snapshot renders only the window's rows.  The snapshots are
 rendered in chunks on the calling thread: all at once into the returned
 array by :func:`evolve_channel`, or a few MiB at a time into one reused
 buffer by ``generate-dynamic``, which writes each chunk before rendering the
@@ -33,11 +33,9 @@ from .channel import (
     DEFAULT_ENERGY_THRESHOLD,
     ChannelRealization,
     _path_table,
+    _plan_taps,
     _render_taps,
-    _row_energies,
-    _select_window,
-    _tap_grid,
-    _TapGrid,
+    _TapPlan,
 )
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
@@ -112,25 +110,6 @@ def default_gain_correlation(mob: MobilitySpec, carrier_frequency: float) -> flo
 CHUNK_BYTES = 8 << 20
 
 
-@dataclass(eq=False)
-class _Evolution:
-    """A drop's snapshot sequence before it is rendered: what it is
-    rendered from, and the facts of the tensor it forms."""
-
-    grid: _TapGrid
-    weights: np.ndarray  # (n_snapshots, paths) per-path weights, table order
-    rows: range          # the tap window's rows of the grid
-    sample_period: float
-    tap_offset: int
-    snapshot_period: float
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
-        n_rx, n_tx = self.grid.a_r.shape[0], self.grid.a_t.shape[1]
-        return (len(self.weights), len(self.rows), n_rx, n_tx)
-
-
 def _plan_evolution(
     real: ChannelRealization,
     arrays: ArrayPair,
@@ -139,9 +118,8 @@ def _plan_evolution(
     rng: np.random.Generator,
     energy_threshold: float,
     oversampling: int,
-) -> _Evolution:
-    """Draw the per-snapshot path weights and select the tap window from
-    snapshot 0's row energies; see :func:`evolve_channel`."""
+) -> _TapPlan:
+    """Draw each snapshot's path weights and plan their taps; see :func:`evolve_channel`."""
     rho = mob.gain_correlation
     if rho is None:
         rho = default_gain_correlation(mob, real.carrier_frequency)
@@ -160,21 +138,10 @@ def _plan_evolution(
         nu = doppler_shift(table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
         t = np.arange(n_snap) * mob.snapshot_period
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
-    weights = table.static_scale * gains
-
-    grid = _tap_grid(table, spec, oversampling)
-    start, width = _select_window(_row_energies(grid, weights[0]), energy_threshold)
-    return _Evolution(
-        grid=grid,
-        weights=weights,
-        rows=range(start, start + width),
-        sample_period=spec.symbol_period / oversampling,
-        tap_offset=grid.n_lo + start,
-        snapshot_period=mob.snapshot_period,
-    )
+    return _plan_taps(table, spec, table.static_scale * gains, energy_threshold, oversampling)
 
 
-def _snapshot_chunks(plan: _Evolution) -> Iterator[np.ndarray]:
+def _snapshot_chunks(plan: _TapPlan) -> Iterator[np.ndarray]:
     """The whole sequence in time order, rendered chunk by chunk into one
     reused buffer of :data:`CHUNK_BYTES`, at least one snapshot and at most
     the sequence: each chunk is a view of that buffer, valid until the next
@@ -211,5 +178,5 @@ def evolve_channel(
         snapshots=_render_taps(plan.grid, plan.weights, plan.rows),
         sample_period=plan.sample_period,
         tap_offset=plan.tap_offset,
-        snapshot_period=plan.snapshot_period,
+        snapshot_period=mob.snapshot_period,
     )

@@ -230,6 +230,33 @@ def test_unknown_config_key_exits_with_message(tmp_path):
         )
 
 
+def test_unreadable_config_file_exits_with_its_path(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit, match=r"configuration error: .*missing\.cfg: cannot read"):
+        run_cli("generate-static", "--config", missing, "--output", tmp_path / "x.mmwc")
+    assert not (tmp_path / "x.mmwc").exists()
+
+
+@pytest.mark.parametrize("command", ["generate-static", "generate-dynamic"])
+def test_generate_refuses_output_that_is_its_sidecar(tmp_path, command):
+    """A tensor written to the sidecar's path would be overwritten by the
+    sidecar; the command exits before any drop runs, naming both paths."""
+    out = tmp_path / "drop.json"
+    with pytest.raises(SystemExit, match=r"--output .*drop\.json and its default sidecar"):
+        run_cli(command, "--output", out)
+    meta = tmp_path / "sub" / ".." / "drop.mmwc"
+    with pytest.raises(SystemExit, match=r"--output .*drop\.mmwc and --metadata .*drop\.mmwc"):
+        run_cli(command, "--output", tmp_path / "drop.mmwc", "--metadata", meta)
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_cdf_refuses_trial_log_that_is_its_output(tmp_path):
+    out = tmp_path / "cdf.csv"
+    with pytest.raises(SystemExit, match=r"--output .*cdf\.csv and --trial-log .*cdf\.csv"):
+        run_cli("eval-cdf", "--set", "n_trials=2", "--output", out, "--trial-log", out)
+    assert not out.exists()
+
+
 def test_malformed_set_argument_exits(tmp_path):
     with pytest.raises(SystemExit, match="KEY=VALUE"):
         run_cli(

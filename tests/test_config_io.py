@@ -109,6 +109,22 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"seed = 1\n\xff\xfe\n"), "can't decode"),
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_parse_config_unreadable_file_is_named(tmp_path, make, reason):
+    path = tmp_path / "run.cfg"
+    make(path)
+    with pytest.raises(ValueError, match=rf"run\.cfg: cannot read .*{reason}"):
+        parse_config(path)
+
+
 def test_parse_config_validates_result():
     with pytest.raises(ValueError, match="scenario"):
         parse_config(None, {"scenario": "nowhere"})

@@ -185,16 +185,18 @@ def test_window_scan_matches_width_search(energies, threshold):
 def test_gram_row_energies_match_rendered_rows_and_their_window(name):
     """The row energies the window is chosen from, taken as Hermitian forms
     in the path Gram before any render, equal the rendered rows' energies
-    within round-off of the total, and pick the full-grid render's window."""
+    within round-off of the total, and pick the full-grid render's window.
+    Seeds 82 and 152 give default drops of 157 and 173 paths, whose Gram and
+    quadratic forms are large enough for OpenBLAS to thread them."""
     base = CONFIGS.get(name) or ScenarioConfig(
         rx_horizontal=1, rx_vertical=1, tx_horizontal=1, tx_vertical=1, n_streams=1
     )
-    for seed in range(50):
+    for seed in [*range(50), *((82, 152) if name == "defaults" else ())]:
         config, real = _drop(base, seed)
         table = _path_table(real, config.arrays())
         grid = _tap_grid(table, config.pulse(), config.oversampling)
         weights = table.static_scale * table.base_gain
-        full = _render_taps(grid, weights)
+        full = _render_taps(grid, weights, range(len(grid.pulse)))
         rendered = np.einsum("prt,prt->p", full, full.conj()).real
         energy = _row_energies(grid, weights)
         assert np.all(energy >= 0.0), seed
@@ -289,7 +291,7 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
             grid = _tap_grid(table, config.pulse(), config.oversampling)
         n_rows, n_paths = grid.pulse.shape
         weights = rng.standard_normal((5, n_paths)) + 1j * rng.standard_normal((5, n_paths))
-        full = _render_taps(grid, weights)
+        full = _render_taps(grid, weights, range(len(grid.pulse)))
         bare = grid.lo == grid.hi
         if name == "gapped":
             assert bare.any()

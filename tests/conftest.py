@@ -91,6 +91,12 @@ def random_stacked_model(rng, p_max=3, m_max=2, n_max=4, noise_variance=0.3):
     p = int(rng.integers(1, p_max + 1))
     m = int(rng.integers(1, m_max + 1))
     n = int(rng.integers(m, n_max + 1))
+    return stacked_model(rng, p, m, n, noise_variance)
+
+
+def stacked_model(rng, p, m, n, noise_variance=0.3):
+    """Projected-tap model of P random M x M taps with an orthonormal-column
+    N x M combiner."""
     taps = _complex_normal(rng, (p, m, m))
     combiner, _ = np.linalg.qr(_complex_normal(rng, (n, m)))
     return StackedModel(

@@ -1,12 +1,13 @@
 """Tests for beamforming, the stacked symbol model, LMMSE rates, CDFs."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import link_oracle
-from conftest import forward_stack_residual, random_stacked_model
+from conftest import forward_stack_residual, random_stacked_model, stacked_model
 from mmwchan import (
     LinkConfig,
     ScenarioConfig,
@@ -18,7 +19,14 @@ from mmwchan import (
     thermal_noise_variance,
 )
 from mmwchan.channel import SampledChannel
-from mmwchan.link import StackedModel, _single_trial, _stacked_covariance
+from mmwchan.link import (
+    LU_MAX_DIM,
+    StackedModel,
+    _block_levinson,
+    _covariance_lags,
+    _single_trial,
+    _stacked_covariance,
+)
 
 # Frozen: k_B * 290 K * 500 MHz * 10^(5/10).
 THERMAL_500MHZ_5DB = 6.330693459389029e-12
@@ -199,13 +207,27 @@ def test_stacked_covariance_matches_explicit_assembly():
 
 def test_lmmse_operator_solves_normal_equations():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        model = random_stacked_model(rng)
-        tx_power = 1.7
+    models = [random_stacked_model(rng) for _ in range(10)]
+    for m in (1, 2, 4, 8):
+        # P from 1 to past 150, with P*M below, at and just above LU_MAX_DIM.
+        for p in sorted({1, 2, 3, 150, LU_MAX_DIM // m, LU_MAX_DIM // m + 1}):
+            models.append(stacked_model(np.random.default_rng(9 + 1000 * m + p), p, m, m + 2))
+    tx_power = 1.7
+    for model in models:
         E = lmmse_operator(model, tx_power)
         C = _stacked_covariance(model, tx_power)
-        rhs = model.signal_signatures * (tx_power / model.n_streams)
-        np.testing.assert_allclose(C @ E, rhs, rtol=0, atol=1e-8)
+        A = model.signal_signatures
+        shape = f"P={model.n_taps}, M={model.n_streams}"
+        rhs = A * (tx_power / model.n_streams)
+        np.testing.assert_allclose(C @ E, rhs, rtol=0, atol=1e-8, err_msg=shape)
+        # The block Levinson recursion agrees with LU at every size.
+        np.testing.assert_allclose(
+            _block_levinson(_covariance_lags(model, tx_power), A),
+            np.linalg.solve(C, A),
+            rtol=0,
+            atol=1e-8,
+            err_msg=shape,
+        )
 
 
 def test_lmmse_operator_rejects_bad_power():
@@ -216,14 +238,29 @@ def test_lmmse_operator_rejects_bad_power():
 
 
 def test_lmmse_operator_names_a_singular_covariance():
-    # Zero taps and a zero combiner leave C = 0: no signal, no noise.
-    model = StackedModel(
-        projected_taps=np.zeros((3, 2, 2), dtype=np.complex128),
-        combiner=np.zeros((4, 2), dtype=np.complex128),
-        noise_variance=1.0,
-    )
-    with pytest.raises(np.linalg.LinAlgError, match="stacked covariance is singular"):
+    # Zero taps and a zero combiner leave C = 0: no signal, no noise.  The
+    # longer window takes the block Levinson branch.
+    for p in (3, LU_MAX_DIM // 2 + 1):
+        model = StackedModel(
+            projected_taps=np.zeros((p, 2, 2), dtype=np.complex128),
+            combiner=np.zeros((4, 2), dtype=np.complex128),
+            noise_variance=1.0,
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="stacked covariance is singular"):
+            lmmse_operator(model, 1.0)
+
+
+def test_lmmse_operator_does_not_form_a_long_windows_covariance():
+    # P*M = 600: one copy of C alone would take (P M)^2 * 16 B = 5.8 MB.
+    model = stacked_model(np.random.default_rng(13), 150, 4, 6)
+    assert 150 * 4 > LU_MAX_DIM
+    tracemalloc.start()
+    try:
         lmmse_operator(model, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- achievable rate -------------------------------------------------------

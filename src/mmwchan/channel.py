@@ -7,22 +7,25 @@ renders only the grid's shortest window that retains the requested share of
 the total tap energy.
 
 Rendering is shared with :mod:`mmwchan.timevariant`.  A realization is
-flattened once into a path table holding the steering matrices ``A_r``
-(paths x N_R) and ``A_t`` (paths x N_T).  The render sorts the paths by
-delay (the table keeps its order) and lays the truncated pulse of every
-path on the delay grid as a matrix ``Pi`` (taps x paths).  A path's first
-and last covered taps grow with its delay, so the paths covering tap ``n``
-form one contiguous range of the sorted paths, and under per-path weights
-``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range
-only: one small matrix product per tap.  A tap's value never depends on
-which other taps, or which other weight sets, are rendered with it, so the
-window is chosen first (:func:`_plan_taps`), from each tap's energy as a
-Hermitian form in the path Gram, and only the window's taps are rendered.
+flattened once into a path table, in the order its paths were drawn, which
+is the order gain aging draws in.  One function, :func:`_lay_paths`, sorts
+the paths by delay, the only reordering a drop sees, and builds the drop's
+tap plan in that order: the steering matrices ``A_r`` (N_R x paths) and
+``A_t`` (paths x N_T), the per-path weights, and the truncated pulse of
+every path on the delay grid as a matrix ``Pi`` (taps x paths).  A path's
+first and last covered taps grow with its delay, so the paths covering tap
+``n`` form one contiguous range, and under per-path weights ``w`` tap ``n``
+is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range only: one small
+matrix product per tap.  A tap's value never depends on which other taps,
+or which other weight sets, are rendered with it, so the window is chosen
+first (:func:`_plan_taps`), from each tap's energy as a Hermitian form in
+the path Gram, and kept as a slice of the plan's rows; only its taps are
+rendered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -252,17 +255,16 @@ def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> Chann
 
 @dataclass(eq=False)
 class _PathTable:
-    """Per-path quantities shared by static sampling and snapshot evolution.
+    """Per-path quantities of a realization, in the order they were drawn.
 
     Row ``p`` of every array describes path ``p``; the direct path, when
     present, is the last row.  ``static_scale`` holds the deterministic
     amplitude (normalization times attenuation); ``base_gain`` the stochastic
     unit-variance gain (``alpha`` per scattered ray, ``exp(j*phase)`` for the
-    direct path).
+    direct path).  Gain aging draws in this order; :func:`_lay_paths` sorts
+    the paths by delay for rendering.
     """
 
-    a_r: np.ndarray          # (n_paths, N_R) receive steering vectors
-    a_t: np.ndarray          # (n_paths, N_T) transmit steering vectors
     static_scale: np.ndarray  # (n_paths,) real
     base_gain: np.ndarray    # (n_paths,) complex
     tau_rel: np.ndarray      # (n_paths,) delay relative to the direct path
@@ -271,7 +273,7 @@ class _PathTable:
 
 
 def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
-    """Flatten a realization into per-path rendering quantities.
+    """Flatten a realization into per-path quantities.
 
     The power normalization is recomputed from the supplied arrays, so a
     fixed realization can be re-sampled under different array geometries.
@@ -298,8 +300,6 @@ def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
         amplitude[-1] = np.sqrt(n_rx * n_tx)
     attenuation_db = column("attenuation_db", los.attenuation_db)
     return _PathTable(
-        a_r=steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation),
-        a_t=steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation),
         static_scale=amplitude * 10.0 ** (attenuation_db / 20.0),
         base_gain=column("gains", np.exp(1j * los.phase), np.complex128),
         tau_rel=column("delays", los.delay) - los.delay,
@@ -309,29 +309,48 @@ def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
 
 
 @dataclass(eq=False)
-class _TapGrid:
-    """A path table's truncated pulses on the full delay grid, paths in
-    delay order.
+class _TapPlan:
+    """A drop's paths in delay order, their per-path weights, and their
+    truncated pulses on consecutive rows of the delay grid.
 
-    Column ``q`` of ``pulse``, ``a_r`` and row ``q`` of ``a_t`` describe
-    table row ``order[q]``, where ``order`` is a stable argsort of the
-    delays.  Every path's first and last covered grid rows grow with its
-    delay, so the paths covering row ``i`` are the contiguous columns
-    ``lo[i]:hi[i]`` (empty for a row no path covers).
+    Column ``q`` of ``pulse``, ``a_r`` and ``weights`` and row ``q`` of
+    ``a_t`` describe the ``q``-th path by delay (a stable sort, so tied
+    paths keep their table order).  Row ``i`` is the tap at grid index
+    ``tap_offset + i`` from the direct-path delay.  Every path's first and
+    last covered grid rows grow with its delay, so the paths covering row
+    ``i`` are the contiguous columns ``lo[i]:hi[i]`` (empty for a row no
+    path covers).
     """
 
-    order: np.ndarray  # (paths,) table row of each column
-    pulse: np.ndarray  # (rows, paths) truncated pulse, zero outside support
-    lo: np.ndarray     # (rows,) first column covering each row
-    hi: np.ndarray     # (rows,) one past the last column covering it
-    a_r: np.ndarray    # (N_R, paths) receive steering vectors as columns
-    a_t: np.ndarray    # (paths, N_T) conjugated transmit steering vectors
-    n_lo: int          # grid index of row 0 relative to the direct-path delay
+    pulse: np.ndarray    # (rows, paths) truncated pulse, zero outside support
+    lo: np.ndarray       # (rows,) first column covering each row
+    hi: np.ndarray       # (rows,) one past the last column covering it
+    a_r: np.ndarray      # (N_R, paths) receive steering vectors as columns
+    a_t: np.ndarray      # (paths, N_T) conjugated transmit steering vectors
+    weights: np.ndarray  # (n_snapshots, paths) per-path weights
+    tap_offset: int
+    sample_period: float
+
+    def rows(self, start: int, stop: int) -> "_TapPlan":
+        """The plan of rows ``start:stop`` only."""
+        return replace(self, pulse=self.pulse[start:stop], lo=self.lo[start:stop],
+                       hi=self.hi[start:stop], tap_offset=self.tap_offset + start)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
+        return (len(self.weights), len(self.pulse), self.a_r.shape[0], self.a_t.shape[1])
 
 
-def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid:
-    """Sort the paths by delay and lay their truncated pulses on the grid
-    covering every path's support."""
+def _lay_paths(
+    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, weights: np.ndarray, oversampling: int
+) -> _TapPlan:
+    """Sort the paths by delay, the one reordering of a drop, and lay their
+    truncated pulses on the grid covering every path's support.
+
+    ``weights`` (n_snapshots, paths) are in table order; the plan holds them,
+    and the steering matrices built from the sorted angles, in delay order.
+    """
     check("oversampling", oversampling, COUNT, integer=True)
     order = np.argsort(table.tau_rel, kind="stable")
     tau = table.tau_rel[order]
@@ -343,25 +362,24 @@ def _tap_grid(table: _PathTable, spec: PulseSpec, oversampling: int) -> _TapGrid
     row, col = np.nonzero((n[:, None] >= starts) & (n[:, None] <= stops))
     pulse = np.zeros((len(n), len(tau)))
     pulse[row, col] = end_to_end_pulse(spec, n[row] * dt - tau[col])
-    return _TapGrid(
-        order=order,
+    ang = table.angles
+    a_r = steering_vector(arrays.rx, ang.aoa_azimuth[order], ang.aoa_elevation[order])
+    a_t = steering_vector(arrays.tx, ang.aod_azimuth[order], ang.aod_elevation[order])
+    return _TapPlan(
         pulse=pulse,
         lo=np.searchsorted(stops, n, side="left"),
         hi=np.searchsorted(starts, n, side="right"),
-        a_r=np.ascontiguousarray(table.a_r[order].T),
-        a_t=table.a_t[order].conj(),
-        n_lo=int(n[0]),
+        a_r=np.ascontiguousarray(a_r.T),
+        a_t=a_t.conj(),
+        weights=weights[..., order],
+        tap_offset=int(n[0]),
+        sample_period=dt,
     )
 
 
-def _render_taps(
-    grid: _TapGrid,
-    weights: np.ndarray,
-    rows: range,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Taps at ``rows`` of the grid under per-path ``weights`` of shape
-    (..., paths) in table order; (..., rows, N_R, N_T).
+def _render_taps(plan: _TapPlan, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every row's tap under per-path ``weights`` of shape (..., paths) in
+    the plan's delay order; (..., rows, N_R, N_T).
 
     Tap ``i`` is ``A_r^T diag(pulse[i] * w) conj(A_t)`` over the paths
     covering it only: one (N_R x K) @ (K x N_T) product over the columns
@@ -382,27 +400,25 @@ def _render_taps(
     from ~6.5e4, so at 20 x 30 arrays a row covered by more than ~109 paths
     can render with bits that depend on the BLAS thread count.
     """
-    w = weights[..., grid.order]
     if out is None:
-        shape = w.shape[:-1] + (len(rows), grid.a_r.shape[0], grid.a_t.shape[1])
+        shape = weights.shape[:-1] + (len(plan.pulse), plan.a_r.shape[0], plan.a_t.shape[1])
         out = np.empty(shape, dtype=np.complex128)
-    for a, i in enumerate(rows):
-        cols = slice(grid.lo[i], grid.hi[i])
-        if cols.start == cols.stop:
-            out[..., a, :, :] = 0.0
+    for i, (lo, hi) in enumerate(zip(plan.lo.tolist(), plan.hi.tolist())):
+        if lo == hi:
+            out[..., i, :, :] = 0.0
             continue
-        coeff = grid.pulse[i, cols] * w[..., cols]
-        np.matmul(grid.a_r[:, cols] * coeff[..., None, :], grid.a_t[cols], out=out[..., a, :, :])
+        coeff = plan.pulse[i, lo:hi] * weights[..., lo:hi]
+        np.matmul(plan.a_r[:, lo:hi] * coeff[..., None, :], plan.a_t[lo:hi], out=out[..., i, :, :])
     return out
 
 
-def _row_energies(grid: _TapGrid, weights: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of every grid row's tap under per-path
-    ``weights`` (table order), unrendered: ``c^H M c`` with ``c = pulse[i] * w``
-    and the path Gram ``M = (a_r^H a_r) * (conj(a_t) a_t^T)``, round-off
-    negatives clipped to 0."""
-    coeff = grid.pulse * weights[grid.order]
-    gram = (grid.a_r.conj().T @ grid.a_r) * (grid.a_t.conj() @ grid.a_t.T)
+def _row_energies(plan: _TapPlan, weights: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every row's tap under per-path ``weights``
+    (delay order), unrendered: ``c^H M c`` with ``c = pulse[i] * w`` and the
+    path Gram ``M = (a_r^H a_r) * (conj(a_t) a_t^T)``, round-off negatives
+    clipped to 0."""
+    coeff = plan.pulse * weights
+    gram = (plan.a_r.conj().T @ plan.a_r) * (plan.a_t.conj() @ plan.a_t.T)
     energy = np.einsum("ik,ik->i", coeff.conj() @ gram, coeff)
     return np.maximum(energy.real, 0.0)
 
@@ -428,40 +444,16 @@ def _select_window(energy: np.ndarray, energy_threshold: float) -> tuple[int, in
     return best
 
 
-@dataclass(eq=False)
-class _TapPlan:
-    """A drop's grid, per-path weights and tap window, before rendering."""
-
-    grid: _TapGrid
-    weights: np.ndarray  # (n_snapshots, paths) per-path weights, table order
-    rows: range          # the tap window's rows of the grid
-    sample_period: float
-
-    @property
-    def tap_offset(self) -> int:
-        return self.grid.n_lo + self.rows.start
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
-        n_rx, n_tx = self.grid.a_r.shape[0], self.grid.a_t.shape[1]
-        return (len(self.weights), len(self.rows), n_rx, n_tx)
-
-
 def _plan_taps(
-    table: _PathTable,
-    spec: PulseSpec,
-    weights: np.ndarray,
-    energy_threshold: float,
-    oversampling: int,
+    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, weights: np.ndarray,
+    energy_threshold: float, oversampling: int,
 ) -> _TapPlan:
-    """Lay ``table`` on its delay grid and choose the leftmost shortest window
+    """Lay ``table`` on its delay grid and keep the leftmost shortest window
     of rows holding >= (1 - energy_threshold) of the energy under
     ``weights[0]``, the one window static and time-variant renders share."""
-    grid = _tap_grid(table, spec, oversampling)
-    start, width = _select_window(_row_energies(grid, weights[0]), energy_threshold)
-    rows = range(start, start + width)
-    return _TapPlan(grid, weights, rows, spec.symbol_period / oversampling)
+    plan = _lay_paths(table, arrays, spec, weights, oversampling)
+    start, width = _select_window(_row_energies(plan, plan.weights[0]), energy_threshold)
+    return plan.rows(start, start + width)
 
 
 def sample_channel(
@@ -481,9 +473,9 @@ def sample_channel(
     """
     table = _path_table(real, arrays)
     weights = table.static_scale * table.base_gain
-    plan = _plan_taps(table, spec, weights[None], energy_threshold, oversampling)
+    plan = _plan_taps(table, arrays, spec, weights[None], energy_threshold, oversampling)
     return SampledChannel(
-        taps=_render_taps(plan.grid, plan.weights[0], plan.rows),
+        taps=_render_taps(plan, plan.weights[0]),
         sample_period=plan.sample_period,
         tap_offset=plan.tap_offset,
     )

@@ -20,6 +20,7 @@ from ._bounds import (
     UNIT_OPEN, _Interval, admissible, check, check_fields,
 )
 from .arrays import ArrayPair, PlanarArray
+from .channel import DEFAULT_ENERGY_THRESHOLD
 from .geometry import SPEED_OF_LIGHT, LinkGeometry
 from .propagation import SCENARIOS
 from .pulse import PulseSpec
@@ -62,7 +63,7 @@ class ScenarioConfig:
     bandwidth_hz: float = admissible(POSITIVE, 500e6)
     truncation_half_length: int = admissible(COUNT, 8)
     oversampling: int = admissible(COUNT, 1)
-    energy_threshold: float = admissible(UNIT_OPEN, 1e-4)
+    energy_threshold: float = admissible(UNIT_OPEN, DEFAULT_ENERGY_THRESHOLD)
     # randomness
     seed: int = admissible(NON_NEGATIVE, 0)
     # mobility

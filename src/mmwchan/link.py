@@ -236,7 +236,9 @@ def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 #: the defaults (M=4), M=8/50 m and M=8/10 m (2-core x86-64 VM, numpy 2.4
 #: with OpenBLAS 0.3.31 on 2 threads), the median time ratio of Levinson to
 #: LU was 1.09-1.10 for P*M in [320, 384), 0.88-0.98 in [384, 448), and
-#: 0.46-0.63 near 768.
+#: 0.46-0.63 near 768.  Only M=4 and 8 were measured: at M=1 and 2, LU stays
+#: faster up to P*M ~ 512-768, and such windows do cross 384 (longest P over
+#: 500 default drops: 187-193 at 50 m, 382-385 at 100 m).
 LU_MAX_DIM = 384
 
 

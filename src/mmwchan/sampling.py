@@ -136,8 +136,9 @@ def ar1_complex_sequence(
     if innovation_scale == 0.0:
         x[1:] = x[0]
         return x
-    w = np.stack([sample_complex_gain(rng, size=n - 1) for _ in range(x[0].size)], -1)
-    w = w.reshape(x[1:].shape)
+    # Path by path, real parts then imaginary parts: sample_complex_gain's order.
+    z = rng.standard_normal((x[0].size, 2, n - 1))
+    w = ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)).T.reshape(x[1:].shape)
     for k in range(1, n):
         x[k] = rho * x[k - 1] + innovation_scale * w[k - 1]
     return x

@@ -5,19 +5,20 @@ realization's draw, each path additionally rotating at its geometric
 Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
-Snapshots are rendered by the banded per-tap products of
-:mod:`mmwchan.channel` with per-snapshot weights, on the tap window that
-channel plans from snapshot 0 as it does for static sampling, so every
-snapshot renders only the window's rows.  The snapshots are
-rendered in chunks on the calling thread: all at once into the returned
-array by :func:`evolve_channel`, or a few MiB at a time into one reused
-buffer by ``generate-dynamic``, which writes each chunk before rendering the
-next.  Every chunk runs one product per tap, stacked over the chunk's
-snapshots, and each tap's product sees the same path range, pulse row and
-weights whichever chunk runs it, so the bits do not depend on the chunk
-size.  Snapshot 0 reproduces the static channel bit for bit, and so does
-every snapshot in the static limit (zero velocity, coefficient 1); see
-:func:`mmwchan.channel._render_taps`.
+The gains are drawn along the path table, in realization order.  The
+per-snapshot weights then go into the drop's one tap plan of
+:mod:`mmwchan.channel`, which sorts them by delay with the paths and keeps
+the tap window chosen from snapshot 0 as for static sampling, so every
+snapshot renders only the window's rows by the banded per-tap products.
+The snapshots are rendered in chunks on the calling thread: all at once
+into the returned array by :func:`evolve_channel`, or a few MiB at a time
+into one reused buffer by ``generate-dynamic``, which writes each chunk
+before rendering the next.  Every chunk runs one product per tap, stacked
+over the chunk's snapshots, and each tap's product sees the same path
+range, pulse row and weights whichever chunk runs it, so the bits do not
+depend on the chunk size.  Snapshot 0 reproduces the static channel bit for
+bit, and so does every snapshot in the static limit (zero velocity,
+coefficient 1); see :func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def _plan_evolution(
         nu = doppler_shift(table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
         t = np.arange(n_snap) * mob.snapshot_period
         gains = gains * np.exp(-2j * np.pi * nu[None, :] * t[:, None])
-    return _plan_taps(table, spec, table.static_scale * gains, energy_threshold, oversampling)
+    weights = table.static_scale * gains
+    return _plan_taps(table, arrays, spec, weights, energy_threshold, oversampling)
 
 
 def _snapshot_chunks(plan: _TapPlan) -> Iterator[np.ndarray]:
@@ -152,7 +154,7 @@ def _snapshot_chunks(plan: _TapPlan) -> Iterator[np.ndarray]:
     buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128)
     for start in range(0, n_snap, per_chunk):
         chunk = buffer[: min(per_chunk, n_snap - start)]
-        _render_taps(plan.grid, plan.weights[start : start + len(chunk)], plan.rows, out=chunk)
+        _render_taps(plan, plan.weights[start : start + len(chunk)], out=chunk)
         yield chunk
 
 
@@ -175,7 +177,7 @@ def evolve_channel(
     """
     plan = _plan_evolution(real, arrays, spec, mob, rng, energy_threshold, oversampling)
     return TimeVariantChannel(
-        snapshots=_render_taps(plan.grid, plan.weights, plan.rows),
+        snapshots=_render_taps(plan, plan.weights),
         sample_period=plan.sample_period,
         tap_offset=plan.tap_offset,
         snapshot_period=mob.snapshot_period,

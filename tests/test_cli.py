@@ -16,7 +16,7 @@ from mmwchan import (
     sample_channel,
     timevariant,
 )
-from mmwchan.channel import _path_table, _tap_grid
+from mmwchan.channel import _lay_paths, _path_table
 from mmwchan.cli import EVOLUTION_STREAM, REALIZATION_STREAM, main
 from mmwchan.io import (
     read_cdf_csv,
@@ -154,13 +154,13 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
     render = timevariant._render_taps
     calls, written = [], []
 
-    def render_failing_in_a_later_chunk(grid, weights, rows=None, out=None):
+    def render_failing_in_a_later_chunk(plan, weights, out=None):
         # call k renders snapshot k - 1, so calls 1-4 write snapshots 0-3
-        calls.append(rows)
+        calls.append(len(weights))
         if len(calls) == 5:
             written.append(path.stat().st_size)
             raise RuntimeError("render failed")
-        return render(grid, weights, rows, out=out)
+        return render(plan, weights, out=out)
 
     monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1)  # one snapshot per chunk
     monkeypatch.setattr(timevariant, "_render_taps", render_failing_in_a_later_chunk)
@@ -176,12 +176,16 @@ def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
     """256 snapshots of a drop whose whole tensor is 81 MB stream through one
     chunk buffer: the peak traced allocation stays below three chunks plus
     the size of one snapshot on the full grid, a margin for the plan (path
-    table, tap grid and the row energies that select the tap window)."""
+    table, full-grid tap plan and the row energies that select the tap
+    window)."""
     overrides = {"seed": 5, "v_rx_mps": 20, "n_snapshots": 256}
     config = parse_config(None, {k: str(v) for k, v in overrides.items()})
     real = realize_channel(config, RngStream(5, REALIZATION_STREAM).generator())
-    grid = _tap_grid(_path_table(real, config.arrays()), config.pulse(), config.oversampling)
-    full_grid_bytes = grid.pulse.shape[0] * grid.a_r.shape[0] * grid.a_t.shape[1] * 16
+    table = _path_table(real, config.arrays())
+    plan = _lay_paths(
+        table, config.arrays(), config.pulse(), table.base_gain[None], config.oversampling
+    )
+    full_grid_bytes = int(np.prod(plan.shape[1:])) * 16
     out = tmp_path / "seq.mmwc"
     tracemalloc.start()
     try:

@@ -10,11 +10,12 @@ arbitrary energies too, and the row energies it is given, computed from the
 path Gram before any render, must match the rendered rows' energies.  The
 bitwise contracts (snapshot 0 equals the static tensor, the static limit is
 frozen, a realization read back from its metadata re-samples identically)
-are checked in the same configurations.  The band itself is
-checked on arbitrary delays, any window of rows under any set of weights
-must render as within the full grid, the moving snapshots must not depend
-on how many snapshot chunks render them, and the tensor files must not
-depend on the BLAS thread count or the usable cores.
+are checked in the same configurations, and reversing a drop's clusters
+must not change its taps, since the render sees the paths in delay order
+only.  The band itself is checked on arbitrary delays, any window of rows
+under any set of weights must render as within the full grid, the moving
+snapshots must not depend on how many snapshot chunks render them, and the
+tensor files must not depend on the BLAS thread count or the usable cores.
 """
 
 import dataclasses
@@ -40,13 +41,14 @@ from mmwchan import (
     sample_channel,
     timevariant,
 )
+from mmwchan.arrays import ArrayPair, PlanarArray, steering_vector
 from mmwchan.channel import (
+    _lay_paths,
     _path_table,
     _PathTable,
     _render_taps,
     _row_energies,
     _select_window,
-    _tap_grid,
 )
 from mmwchan.geometry import RayAngles
 from mmwchan.io import read_realization_metadata, write_realization_metadata
@@ -159,6 +161,18 @@ def test_metadata_round_trip_resamples_bitwise(name, tmp_path):
         assert np.array_equal(resampled.taps, original.taps), seed
 
 
+def test_cluster_order_does_not_reach_the_render():
+    """Reversing the clusters reorders the path table, but the render sees
+    the paths only in delay order, so the static taps and their window are
+    unchanged bit for bit."""
+    for seed in range(100):
+        config, real = _drop(CONFIGS["defaults"], seed)
+        want = _sample(config, real)
+        got = _sample(config, dataclasses.replace(real, clusters=real.clusters[::-1]))
+        assert got.tap_offset == want.tap_offset, seed
+        assert np.array_equal(got.taps, want.taps), seed
+
+
 # Few distinct values make exact zeros and tied window sums common.
 tap_energies = st.lists(
     st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.0]), st.floats(0.0, 1e6)),
@@ -194,11 +208,11 @@ def test_gram_row_energies_match_rendered_rows_and_their_window(name):
     for seed in [*range(50), *((82, 152) if name == "defaults" else ())]:
         config, real = _drop(base, seed)
         table = _path_table(real, config.arrays())
-        grid = _tap_grid(table, config.pulse(), config.oversampling)
-        weights = table.static_scale * table.base_gain
-        full = _render_taps(grid, weights, range(len(grid.pulse)))
+        weights = (table.static_scale * table.base_gain)[None]
+        plan = _lay_paths(table, config.arrays(), config.pulse(), weights, config.oversampling)
+        full = _render_taps(plan, plan.weights[0])
         rendered = np.einsum("prt,prt->p", full, full.conj()).real
-        energy = _row_energies(grid, weights)
+        energy = _row_energies(plan, plan.weights[0])
         assert np.all(energy >= 0.0), seed
         assert np.max(np.abs(energy - rendered)) <= 1e-12 * rendered.sum(), seed
         for threshold in (config.energy_threshold, 0.1):
@@ -211,21 +225,19 @@ def test_gram_row_energies_match_rendered_rows_and_their_window(name):
 SYMBOL_PERIOD = 2.0**-31
 
 
+#: Small arrays (3 receive, 4 transmit elements) for the synthetic tables.
+SMALL_ARRAYS = ArrayPair(tx=PlanarArray(2, 2), rx=PlanarArray(3, 1))
+
+
 def _table(delays, rng):
-    """Path table of unit-norm random steering vectors at ``delays``."""
+    """Path table of random directions and unit-modulus gains at ``delays``."""
     n = len(delays)
-
-    def unit(*shape):
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
+    gain = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return _PathTable(
-        a_r=unit(n, 3),
-        a_t=unit(n, 4),
         static_scale=rng.uniform(0.5, 2.0, n),
-        base_gain=unit(n, 1)[:, 0],
+        base_gain=gain / np.abs(gain),
         tau_rel=np.asarray(delays, dtype=float),
-        angles=RayAngles(*np.zeros((4, n))),
+        angles=RayAngles(*rng.uniform(-np.pi / 2, np.pi / 2, (4, n))),
         los_index=None,
     )
 
@@ -251,24 +263,32 @@ def test_band_holds_exactly_the_paths_covering_each_row(delays, los, half_length
         delays = [*delays, 0.0]  # the direct path: last row, zero delay
     tau = np.array(delays) * SYMBOL_PERIOD
     spec = PulseSpec(SYMBOL_PERIOD, truncation_half_length=half_length)
-    grid = _tap_grid(_table(tau, np.random.default_rng(0)), spec, oversampling)
+    table = _table(tau, np.random.default_rng(0))
+    # Each path's table row as its weight: the plan's weights spell its order.
+    labels = np.arange(len(tau))[None]
+    plan = _lay_paths(table, SMALL_ARRAYS, spec, labels, oversampling)
+    order = plan.weights[0]
 
     # Stable delay order: ties keep table order.
-    assert sorted(grid.order) == list(range(len(tau)))
-    assert all(
-        (tau[a], a) < (tau[b], b) for a, b in zip(grid.order[:-1], grid.order[1:])
-    )
+    assert sorted(order) == list(range(len(tau)))
+    assert all((tau[a], a) < (tau[b], b) for a, b in zip(order[:-1], order[1:]))
+    # The steering matrices follow the same order.
+    ang = table.angles
+    a_r = steering_vector(SMALL_ARRAYS.rx, ang.aoa_azimuth, ang.aoa_elevation)
+    a_t = steering_vector(SMALL_ARRAYS.tx, ang.aod_azimuth, ang.aod_elevation)
+    assert np.array_equal(plan.a_r, a_r[order].T)
+    assert np.array_equal(plan.a_t, a_t[order].conj())
     # Each path's support, straight from the definition, in table order.
     dt = SYMBOL_PERIOD / oversampling
     starts = np.ceil((tau - half_length * SYMBOL_PERIOD) / dt).astype(int)
     stops = np.floor((tau + half_length * SYMBOL_PERIOD) / dt).astype(int)
-    assert grid.n_lo == starts.min()
-    assert grid.pulse.shape == (stops.max() - starts.min() + 1, len(tau))
-    for i in range(grid.pulse.shape[0]):
-        n = grid.n_lo + i
-        covering = [q for q, p in enumerate(grid.order) if starts[p] <= n <= stops[p]]
-        assert covering == list(range(grid.lo[i], grid.hi[i])), i
-        assert set(np.flatnonzero(grid.pulse[i])) <= set(covering), i
+    assert plan.tap_offset == starts.min()
+    assert plan.pulse.shape == (stops.max() - starts.min() + 1, len(tau))
+    for i in range(plan.pulse.shape[0]):
+        n = plan.tap_offset + i
+        covering = [q for q, p in enumerate(order) if starts[p] <= n <= stops[p]]
+        assert covering == list(range(plan.lo[i], plan.hi[i])), i
+        assert set(np.flatnonzero(plan.pulse[i])) <= set(covering), i
 
 
 def _gapped_drop(rng):
@@ -284,15 +304,17 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
     for seed in range(20):
         if name == "gapped":
             table, spec = _gapped_drop(rng)
-            grid = _tap_grid(table, spec, 1 + seed % 2)
+            arrays, oversampling = SMALL_ARRAYS, 1 + seed % 2
         else:
             config, real = _drop(CONFIGS[name], seed)
-            table = _path_table(real, config.arrays())
-            grid = _tap_grid(table, config.pulse(), config.oversampling)
-        n_rows, n_paths = grid.pulse.shape
+            arrays, spec, oversampling = config.arrays(), config.pulse(), config.oversampling
+            table = _path_table(real, arrays)
+        n_paths = len(table.tau_rel)
         weights = rng.standard_normal((5, n_paths)) + 1j * rng.standard_normal((5, n_paths))
-        full = _render_taps(grid, weights, range(len(grid.pulse)))
-        bare = grid.lo == grid.hi
+        plan = _lay_paths(table, arrays, spec, weights, oversampling)
+        n_rows = len(plan.pulse)
+        full = _render_taps(plan, plan.weights)
+        bare = plan.lo == plan.hi
         if name == "gapped":
             assert bare.any()
         assert not full[:, bare].any()
@@ -305,9 +327,9 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
         subsets = [[2], [0, 3, 4], rng.permutation(5)[:3]]
         for a, b in windows:
             for sub in subsets:
-                got = _render_taps(grid, weights[sub], range(a, b))
+                got = _render_taps(plan.rows(a, b), plan.weights[sub])
                 assert np.array_equal(got, full[sub, a:b]), (seed, a, b, sub)
-            got = _render_taps(grid, weights[1], range(a, b))
+            got = _render_taps(plan.rows(a, b), plan.weights[1])
             assert np.array_equal(got, full[1, a:b]), (seed, a, b)
 
 
@@ -323,9 +345,9 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     arrays = config.arrays()
     n_r, n_t = arrays.rx.n_elements, arrays.tx.n_elements
     table = _path_table(real, arrays)
-    grid = _tap_grid(table, config.pulse(), config.oversampling)
+    plan = _lay_paths(table, arrays, config.pulse(), table.base_gain[None], config.oversampling)
     n_paths = len(table.tau_rel)
-    covered = grid.lo < grid.hi
+    covered = plan.lo < plan.hi
 
     products = []
     matmul = np.matmul
@@ -338,7 +360,7 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
     static = _sample(config, real)
-    start = static.tap_offset - grid.n_lo
+    start = static.tap_offset - plan.tap_offset
     in_window = covered[start : start + static.n_taps].sum()
     assert sum(products) == in_window
 

@@ -106,9 +106,10 @@ def cmd_generate_static(args) -> int:
 
 
 def cmd_generate_dynamic(args) -> int:
-    """Stream the snapshots to ``--output`` chunk by chunk, in memory bounded
-    by :data:`mmwchan.timevariant.CHUNK_BYTES`, not by the snapshot count;
-    the file equals :func:`mmwchan.timevariant.evolve_channel` written by
+    """Stream the snapshots to ``--output`` chunk by chunk through one buffer
+    of :data:`mmwchan.timevariant.CHUNK_BYTES`; only the per-path weights,
+    (snapshots x paths) arrays, grow with the snapshot count.  The file
+    equals :func:`mmwchan.timevariant.evolve_channel` written by
     :func:`mmwchan.io.write_dynamic_channel`."""
     metadata = _metadata_path(args)
     config = _load_config(args)
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cdf.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (results are identical for any value)",
+        help="worker processes, at most one per drop (results are identical for any value)",
     )
     p_cdf.set_defaults(handler=cmd_eval_cdf)
     return parser

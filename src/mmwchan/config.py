@@ -30,6 +30,21 @@ __all__ = ["ScenarioConfig", "parse_config", "serialize_config"]
 
 _AUTO = ("auto", "none")
 
+#: Boltzmann constant, J/K; exact by SI definition.
+_BOLTZMANN = 1.380649e-23
+
+
+def thermal_noise_variance(
+    bandwidth_hz: float,
+    noise_figure_db: float = 5.0,
+    temperature_k: float = 290.0,
+) -> float:
+    """Receiver noise power k_B * T * W * F in watts."""
+    check("bandwidth_hz", bandwidth_hz, POSITIVE)
+    check("noise_figure_db", noise_figure_db, FINITE)
+    check("temperature_k", temperature_k, POSITIVE)
+    return _BOLTZMANN * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -123,8 +138,6 @@ class ScenarioConfig:
     def noise_variance(self) -> float:
         if self.noise_variance_w is not None:
             return self.noise_variance_w
-        from .link import thermal_noise_variance
-
         return thermal_noise_variance(
             self.bandwidth_hz, self.noise_figure_db, self.noise_temperature_k
         )

@@ -178,7 +178,10 @@ def _encode(obj, keys: dict) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: ``json.loads`` also parses NaN and infinities."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 #: The JSON kinds a sidecar value may have.  Per-ray keys hold lists of

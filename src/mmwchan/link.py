@@ -20,20 +20,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._bounds import COUNT, FINITE, POSITIVE, _Interval, check
+from ._bounds import COUNT, POSITIVE, _Interval, check
 from .channel import SampledChannel, realize_channel, sample_channel
+from .config import ScenarioConfig, thermal_noise_variance
 from .sampling import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import ScenarioConfig
-
-#: Boltzmann constant, J/K; exact by SI definition.
-_BOLTZMANN = 1.380649e-23
 
 __all__ = [
     "BeamformerPair",
@@ -50,18 +44,6 @@ __all__ = [
 ]
 
 
-def thermal_noise_variance(
-    bandwidth_hz: float,
-    noise_figure_db: float = 5.0,
-    temperature_k: float = 290.0,
-) -> float:
-    """Receiver noise power k_B * T * W * F in watts."""
-    check("bandwidth_hz", bandwidth_hz, POSITIVE)
-    check("noise_figure_db", noise_figure_db, FINITE)
-    check("temperature_k", temperature_k, POSITIVE)
-    return _BOLTZMANN * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
-
-
 @dataclass(eq=False)
 class BeamformerPair:
     """Per-drop eigen-beamformers anchored at the strongest tap."""
@@ -70,10 +52,6 @@ class BeamformerPair:
     combiner: np.ndarray        # (N_R, M)
     tap_index: int
     singular_values: np.ndarray  # (M,)
-
-    @property
-    def n_streams(self) -> int:
-        return self.precoder.shape[1]
 
 
 @dataclass(eq=False)
@@ -146,11 +124,14 @@ def build_stacked_model(
     )
 
 
-def _lag_gram(G: np.ndarray) -> np.ndarray:
-    """Block lags R(d) = sum_k G(k) G(k-d)^H for d = -(P-1) .. P-1,
-    returned as (2P-1, M, M) with lag d at index P-1+d.  On the tap-major
-    row view ``W = [G(0) ... G(P-1)]`` each lag is one small product,
-    ``R(d) = W[:, dM:] W[:, :(P-d)M]^H``."""
+def _covariance_lags(model: StackedModel, tx_power: float) -> np.ndarray:
+    """Block lags of C: (P_T/M) R(d) with R(d) = sum_k G(k) G(k-d)^H, plus
+    noise_variance D^H D at lag 0, since B B^H is block diagonal with D^H D
+    on every diagonal block.  Returned as (2P-1, M, M) with lag d, for
+    d = -(P-1) .. P-1, at index P-1+d.  On the tap-major row view
+    ``W = [G(0) ... G(P-1)]`` each lag d >= 0 is one small product,
+    ``R(d) = W[:, dM:] W[:, :(P-d)M]^H``, and ``R(-d) = R(d)^H``."""
+    G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     W = G.transpose(1, 0, 2).reshape(m, p * m)
     Wh = W.conj().T
@@ -160,16 +141,6 @@ def _lag_gram(G: np.ndarray) -> np.ndarray:
         lags[p - 1 + d] = r
         if d:
             lags[p - 1 - d] = r.conj().T
-    return lags
-
-
-def _covariance_lags(model: StackedModel, tx_power: float) -> np.ndarray:
-    """Block lags of C in :func:`_lag_gram`'s layout: (P_T/M) R(d), plus
-    noise_variance D^H D at lag 0, since B B^H is block diagonal with D^H D
-    on every diagonal block."""
-    G = model.projected_taps
-    p, m = G.shape[0], G.shape[1]
-    lags = _lag_gram(G)
     lags *= tx_power / m
     lags[p - 1] += model.noise_variance * (model.combiner.conj().T @ model.combiner)
     return lags
@@ -405,16 +376,19 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
 
     Drop k always runs on substream k of the configured seed, so the result
     is byte-identical for any ``n_jobs``, which must be an integer >= 1.
+    At most ``n_jobs`` worker processes start, and never more than there
+    are drops; with one, the drops run serially in this process.
     """
     check("n_jobs", n_jobs, COUNT, integer=True)
     trials = range(config.n_trials)
-    if n_jobs == 1:
+    workers = min(n_jobs, config.n_trials)
+    if workers == 1:
         results = [_single_trial(config, k) for k in trials]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, config.n_trials // (4 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        chunk = max(1, config.n_trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(_single_trial, config), trials, chunksize=chunk))
     se = np.sort(np.array([r.spectral_efficiency for r in results]))
     cdf = np.arange(1, config.n_trials + 1) / config.n_trials

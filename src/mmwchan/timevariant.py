@@ -106,8 +106,8 @@ def default_gain_correlation(mob: MobilitySpec, carrier_frequency: float) -> flo
 
 
 #: Bytes of the one buffer that ``generate-dynamic`` renders and writes its
-#: snapshots through, chunk by chunk (a chunk holds at least one snapshot),
-#: so the command's memory does not grow with the snapshot count.
+#: snapshots through, chunk by chunk (a chunk holds at least one snapshot);
+#: the per-path weights of :func:`_plan_evolution` grow with the snapshot count.
 CHUNK_BYTES = 8 << 20
 
 

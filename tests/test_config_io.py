@@ -432,10 +432,27 @@ def _set(obj, key, value):
             lambda r: r["clusters"][0]["gain_real"].append("x"),
             "key 'gain_real' must be a list of numbers",
         ),
+        (
+            lambda r: _set(r["clusters"][0]["delay_s"], 0, float("nan")),
+            "key 'delay_s' must be a list of numbers",
+        ),
+        (
+            lambda r: _set(r["clusters"][0]["gain_real"], 1, float("inf")),
+            "key 'gain_real' must be a list of numbers",
+        ),
+        (
+            lambda r: _set(r["clusters"][0]["gain_imag"], 2, float("-inf")),
+            "key 'gain_imag' must be a list of numbers",
+        ),
+        (lambda r: _set(r, "distance_m", float("nan")), "key 'distance_m' must be a number"),
+        (lambda r: _set(r["los"], "phase_rad", float("inf")), "key 'phase_rad' must be a number"),
+        (lambda r: _set(r, "tx_height_m", float("-inf")), "key 'tx_height_m' must be a number"),
     ],
     ids=[
         "clusters-number", "distance-text", "scenario-number", "present-number",
         "phase-bool", "los-list", "mean-number", "delays-scalar", "gains-text",
+        "delays-nan", "gains-infinity", "gains-minus-infinity",
+        "distance-nan", "phase-infinity", "height-minus-infinity",
     ],
 )
 def test_sidecar_value_of_wrong_kind_names_file_and_key(tmp_path, edit, match):

@@ -413,3 +413,40 @@ def test_cdf_experiment_parallel_matches_serial():
     for a, b in zip(serial.trials, parallel.trials):
         assert a.rate == b.rate
         assert a.los == b.los
+
+
+class _SerialPool:
+    """Stand-in for ``ProcessPoolExecutor`` that starts no process, records
+    the worker count it was asked for and maps serially."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        _SerialPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "n_trials, n_jobs, requested", [(3, 64, [3]), (1, 8, [])], ids=["3-drops", "1-drop"]
+)
+def test_cdf_experiment_starts_no_more_workers_than_drops(
+    monkeypatch, n_trials, n_jobs, requested
+):
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    config = ScenarioConfig(seed=7, n_trials=n_trials)
+    pooled = run_cdf_experiment(config, n_jobs=n_jobs)
+    assert _SerialPool.requested == requested
+    serial = run_cdf_experiment(config, n_jobs=1)
+    np.testing.assert_array_equal(pooled.spectral_efficiency, serial.spectral_efficiency)
+    assert pooled.trials == serial.trials

@@ -10,7 +10,7 @@ from pathlib import Path
 import scipy.constants
 
 import mmwchan
-from mmwchan import SPEED_OF_LIGHT, link, thermal_noise_variance
+from mmwchan import SPEED_OF_LIGHT, config, thermal_noise_variance
 
 _SRC = str(Path(mmwchan.__file__).resolve().parents[1])
 
@@ -79,7 +79,7 @@ def test_pooled_eval_cdf_loads_no_scipy(tmp_path):
 
 def test_physical_constants_equal_scipy_exactly():
     assert SPEED_OF_LIGHT == scipy.constants.c
-    assert link._BOLTZMANN == scipy.constants.Boltzmann
+    assert config._BOLTZMANN == scipy.constants.Boltzmann
 
 
 def test_thermal_noise_variance_is_unchanged_bit_for_bit():

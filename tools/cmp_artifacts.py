@@ -11,11 +11,14 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 - ``generate-static``, plain and at ``oversampling=2``;
 - ``generate-dynamic`` at ``v_rx_mps=20`` with 1, 2 and 64 snapshots, and
   with 9 at ``oversampling=2``;
-- a 300-drop ``eval-cdf`` with its trial log, at ``--jobs 1`` and ``2``.
+- a 300-drop ``eval-cdf`` with its trial log, at ``--jobs 1`` and ``2``;
+- a serial 100-drop ``eval-cdf`` with its trial log at ``n_streams=8``,
+  ``distance_m=50``, where 35-44 of each seed's 100 drops have windows long
+  enough for the block Levinson solve (8-16 of the 300 at the defaults).
 
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
-with its serial ones, 100 pairs in all.  Prints each differing pair and an
+with its serial ones, 110 pairs in all.  Prints each differing pair and an
 "N of M differ" line; exits 1 if any pair differs.
 """
 
@@ -47,6 +50,9 @@ RUNS = {
         f"cdf-jobs{jobs}": ["eval-cdf", "--set", "n_trials=300", "--jobs", str(jobs)]
         for jobs in (1, 2)
     },
+    "cdf-m8-50m": [
+        "eval-cdf", "--set", "n_streams=8", "--set", "distance_m=50", "--set", "n_trials=100"
+    ],
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -53,18 +54,22 @@ def _load_config(args):
         raise SystemExit(f"configuration error: {err}") from None
 
 
-def _refuse_same_file(first: str, first_path: Path, second: str, second_path: Path) -> None:
-    """Exit when two outputs would be one file, the second written over the
-    first; the commands call it before any drop runs."""
-    if Path(first_path).resolve() == Path(second_path).resolve():
-        raise SystemExit(f"{first} {first_path} and {second} {second_path} are the same file")
+def _refuse_same_file(args, *outputs: tuple[str, Path | None]) -> None:
+    """Exit when two of a command's files are one: two ``outputs``, given as
+    ``(label, path)`` in writing order (a ``None`` path is not written), or an
+    output and ``--config``, which it would overwrite; the commands call it
+    before any drop runs."""
+    named = [(label, p) for label, p in (("--config", args.config), *outputs) if p is not None]
+    for (first, first_path), (second, second_path) in itertools.combinations(named, 2):
+        if Path(first_path).resolve() == Path(second_path).resolve():
+            raise SystemExit(f"{first} {first_path} and {second} {second_path} are the same file")
 
 
 def _metadata_path(args) -> Path:
     label, path = "--metadata", args.metadata
     if path is None:
         label, path = "its default sidecar", Path(args.output).with_suffix(".json")
-    _refuse_same_file("--output", args.output, label, path)
+    _refuse_same_file(args, ("--output", args.output), (label, path))
     return path
 
 
@@ -107,9 +112,10 @@ def cmd_generate_static(args) -> int:
 
 def cmd_generate_dynamic(args) -> int:
     """Stream the snapshots to ``--output`` chunk by chunk through one buffer
-    of :data:`mmwchan.timevariant.CHUNK_BYTES`; only the per-path weights,
-    (snapshots x paths) arrays, grow with the snapshot count.  The file
-    equals :func:`mmwchan.timevariant.evolve_channel` written by
+    of :data:`mmwchan.timevariant.CHUNK_BYTES`; only the per-path weights
+    grow with the snapshot count: one (snapshots x paths) complex array,
+    about three at the peak while they are drawn.  The file equals
+    :func:`mmwchan.timevariant.evolve_channel` written by
     :func:`mmwchan.io.write_dynamic_channel`."""
     metadata = _metadata_path(args)
     config = _load_config(args)
@@ -156,8 +162,7 @@ def cmd_generate_dynamic(args) -> int:
 def cmd_eval_cdf(args) -> int:
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be an integer >= 1, got {args.jobs}")
-    if args.trial_log is not None:
-        _refuse_same_file("--output", args.output, "--trial-log", args.trial_log)
+    _refuse_same_file(args, ("--output", args.output), ("--trial-log", args.trial_log))
     config = _load_config(args)
     result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)

@@ -233,14 +233,17 @@ def realization_to_dict(real: ChannelRealization) -> dict:
 
 def realization_from_dict(data: dict) -> ChannelRealization:
     """Inverse of :func:`realization_to_dict`.  A missing key, a value of the
-    wrong JSON kind, or per-ray arrays of unequal length raise ValueError
-    naming the key or cluster."""
+    wrong JSON kind, or per-ray arrays that are empty or of unequal length
+    raise ValueError naming the key or cluster."""
     clusters = []
     for index, c in enumerate(_get(data, "clusters", "a list of objects")):
         per_ray = _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}, "a list of numbers")
         rays = {attr: np.array(v, dtype=float) for attr, v in per_ray.items()}
-        if len({a.shape for a in rays.values()}) > 1:
+        shapes = {a.shape for a in rays.values()}
+        if len(shapes) > 1:
             raise ValueError(f"cluster {index}: per-ray arrays differ in length")
+        if shapes == {(0,)}:
+            raise ValueError(f"cluster {index}: no rays")
         rays["gains"] = rays.pop("real") + 1j * rays.pop("imag")
         rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean", "an object"), _ANGLE_KEYS))
         clusters.append(ClusterRealization(**_decode(c, _CLUSTER_KEYS), **rays))

@@ -130,8 +130,6 @@ def ar1_complex_sequence(
         initial = np.sqrt(variance) * sample_complex_gain(rng)
     x = np.empty((n,) + np.shape(initial), dtype=np.complex128)
     x[0] = initial
-    if n == 1:
-        return x
     innovation_scale = np.sqrt(variance) * np.sqrt(1.0 - rho * rho)
     if innovation_scale == 0.0:
         x[1:] = x[0]

@@ -261,6 +261,36 @@ def test_eval_cdf_refuses_trial_log_that_is_its_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config_name, outputs, label",
+    [
+        ("eval-cdf", "run.cfg", "--output run.cfg", "--output"),
+        ("eval-cdf", "run.cfg", "--output cdf.csv --trial-log run.cfg", "--trial-log"),
+        ("generate-static", "run.cfg", "--output run.cfg", "--output"),
+        ("generate-dynamic", "run.cfg", "--output run.cfg", "--output"),
+        ("generate-static", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata"),
+        ("generate-dynamic", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata"),
+        ("generate-static", "drop.json", "--output drop.mmwc", "its default sidecar"),
+    ],
+    ids=[
+        "cdf-output", "cdf-trial-log", "static-output", "dynamic-output",
+        "static-metadata", "dynamic-metadata", "static-default-sidecar",
+    ],
+)
+def test_no_output_overwrites_the_config_file(tmp_path, command, config_name, outputs, label):
+    """Every output is checked against ``--config`` before any drop runs: the
+    command exits naming both, and the config file keeps its bytes."""
+    config = tmp_path / config_name
+    config.write_text("seed = 4\nn_trials = 2\nn_snapshots = 2\n")
+    before = config.read_bytes()
+    argv = [str(tmp_path / a) if i % 2 else a for i, a in enumerate(outputs.split())]
+    name = config_name.replace(".", r"\.")
+    with pytest.raises(SystemExit, match=rf"^--config .*{name} and {label} .*{name} are the same"):
+        run_cli(command, "--config", config, *argv)
+    assert config.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [config_name]
+
+
 def test_malformed_set_argument_exits(tmp_path):
     with pytest.raises(SystemExit, match="KEY=VALUE"):
         run_cli(

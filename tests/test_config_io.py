@@ -393,6 +393,13 @@ def sidecar_with(tmp_path, edit):
     return path
 
 
+def _no_rays(realization):
+    """Empty every per-ray list of cluster 0."""
+    cluster = realization["clusters"][0]
+    for key in cluster.keys() - {"distance_m", "mean"}:
+        cluster[key].clear()
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -401,8 +408,9 @@ def sidecar_with(tmp_path, edit):
         (lambda r: r.pop("tx_height_m"), "missing key 'tx_height_m'"),
         (lambda r: r["clusters"][0]["delay_s"].pop(), "cluster 0: per-ray arrays"),
         (lambda r: r["clusters"][0]["gain_imag"].append(0.0), "cluster 0: per-ray arrays"),
+        (_no_rays, "cluster 0: no rays"),
     ],
-    ids=["los-key", "mean-key", "geometry-key", "short-delays", "long-gains"],
+    ids=["los-key", "mean-key", "geometry-key", "short-delays", "long-gains", "no-rays"],
 )
 def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):
     path = sidecar_with(tmp_path, edit)

@@ -1,5 +1,7 @@
 """Tests for snapshot evolution: gain aging, Doppler, static limit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mmwchan import (
     evolve_channel,
     realize_channel,
     sample_channel,
+    timevariant,
 )
 from mmwchan.geometry import RayAngles
 from mmwchan.sampling import RngStream
@@ -206,6 +209,29 @@ def test_evolution_is_reproducible():
     b = evolve_channel(real, config.arrays(), config.pulse(), mob,
                        RngStream(8, 1).generator())
     np.testing.assert_array_equal(a.snapshots, b.snapshots)
+
+
+def test_plan_evolution_peak_memory():
+    """Planning 4096 snapshots of a 173-path drop at 1x1 arrays, where the
+    weights outweigh the path table and the taps, peaks below 3.5 (snapshots
+    x paths) complex arrays under tracemalloc: the weights, plus two arrays'
+    worth of temporaries (the AR(1) innovations, later the Doppler phasors)."""
+    config = ScenarioConfig(
+        seed=152, n_streams=1, tx_horizontal=1, tx_vertical=1, rx_horizontal=1,
+        rx_vertical=1, v_rx_mps=20.0, n_snapshots=4096,
+    )
+    real = realize_channel(config, RngStream(152, 0).generator())
+    tracemalloc.start()
+    try:
+        plan = timevariant._plan_evolution(
+            real, config.arrays(), config.pulse(), config.mobility(),
+            RngStream(152, 1).generator(), config.energy_threshold, config.oversampling,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.weights.shape == (4096, 173)
+    assert peak < 3.5 * 4096 * 173 * 16
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,10 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 - ``generate-static``, plain and at ``oversampling=2``;
 - ``generate-dynamic`` at ``v_rx_mps=20`` with 1, 2 and 64 snapshots, and
   with 9 at ``oversampling=2``;
+- ``generate-dynamic`` with 16 snapshots three more ways: aging with no
+  Doppler (``gain_correlation=0.9`` at zero speed), a moving transmitter
+  (``v_tx_mps=3``), and frozen at the defaults (zero speed, where the
+  coefficient defaults to 1);
 - a 300-drop ``eval-cdf`` with its trial log, at ``--jobs 1`` and ``2``;
 - a serial 100-drop ``eval-cdf`` with its trial log at ``n_streams=8``,
   ``distance_m=50``, where 35-44 of each seed's 100 drops have windows long
@@ -18,7 +22,7 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
-with its serial ones, 110 pairs in all.  Prints each differing pair and an
+with its serial ones, 140 pairs in all.  Prints each differing pair and an
 "N of M differ" line; exits 1 if any pair differs.
 """
 
@@ -34,6 +38,7 @@ from pathlib import Path
 SEEDS = (0, 1, 7, 42, 152)
 
 _MOVING = ["--set", "v_rx_mps=20"]
+_SIXTEEN = ["--set", "n_snapshots=16"]
 
 #: Command line of each run of the matrix, without seed and outputs.
 RUNS = {
@@ -46,6 +51,9 @@ RUNS = {
     "dynamic-9-os2": [
         "generate-dynamic", *_MOVING, "--set", "n_snapshots=9", "--set", "oversampling=2"
     ],
+    "dynamic-16-aging": ["generate-dynamic", "--set", "gain_correlation=0.9", *_SIXTEEN],
+    "dynamic-16-vtx3": ["generate-dynamic", "--set", "v_tx_mps=3", *_SIXTEEN],
+    "dynamic-16-frozen": ["generate-dynamic", *_SIXTEEN],
     **{
         f"cdf-jobs{jobs}": ["eval-cdf", "--set", "n_trials=300", "--jobs", str(jobs)]
         for jobs in (1, 2)

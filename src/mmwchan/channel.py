@@ -310,16 +310,16 @@ def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
 
 @dataclass(eq=False)
 class _TapPlan:
-    """A drop's paths in delay order, their per-path weights, and their
+    """A drop's paths in delay order, their static weights, and their
     truncated pulses on consecutive rows of the delay grid.
 
     Column ``q`` of ``pulse``, ``a_r`` and ``weights`` and row ``q`` of
-    ``a_t`` describe the ``q``-th path by delay (a stable sort, so tied
-    paths keep their table order).  Row ``i`` is the tap at grid index
-    ``tap_offset + i`` from the direct-path delay.  Every path's first and
-    last covered grid rows grow with its delay, so the paths covering row
-    ``i`` are the contiguous columns ``lo[i]:hi[i]`` (empty for a row no
-    path covers).
+    ``a_t`` describe the ``q``-th path by delay, row ``order[q]`` of the path
+    table (a stable sort, so tied paths keep their table order).  Row ``i``
+    is the tap at grid index ``tap_offset + i`` from the direct-path delay.
+    Every path's first and last covered grid rows grow with its delay, so
+    the paths covering row ``i`` are the contiguous columns ``lo[i]:hi[i]``
+    (empty for a row no path covers).
     """
 
     pulse: np.ndarray    # (rows, paths) truncated pulse, zero outside support
@@ -327,7 +327,8 @@ class _TapPlan:
     hi: np.ndarray       # (rows,) one past the last column covering it
     a_r: np.ndarray      # (N_R, paths) receive steering vectors as columns
     a_t: np.ndarray      # (paths, N_T) conjugated transmit steering vectors
-    weights: np.ndarray  # (n_snapshots, paths) per-path weights
+    order: np.ndarray    # (paths,) table row of each column
+    weights: np.ndarray  # (paths,) static weights: snapshot 0 of any evolution
     tap_offset: int
     sample_period: float
 
@@ -338,19 +339,17 @@ class _TapPlan:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """(n_snapshots, P, N_R, N_T) of the whole sequence."""
-        return (len(self.weights), len(self.pulse), self.a_r.shape[0], self.a_t.shape[1])
+        """(P, N_R, N_T) of one snapshot."""
+        return (len(self.pulse), self.a_r.shape[0], self.a_t.shape[1])
 
 
 def _lay_paths(
-    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, weights: np.ndarray, oversampling: int
+    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, oversampling: int
 ) -> _TapPlan:
     """Sort the paths by delay, the one reordering of a drop, and lay their
-    truncated pulses on the grid covering every path's support.
-
-    ``weights`` (n_snapshots, paths) are in table order; the plan holds them,
-    and the steering matrices built from the sorted angles, in delay order.
-    """
+    truncated pulses on the grid covering every path's support; the plan
+    holds the static weights, and the steering matrices built from the
+    sorted angles, in delay order."""
     check("oversampling", oversampling, COUNT, integer=True)
     order = np.argsort(table.tau_rel, kind="stable")
     tau = table.tau_rel[order]
@@ -371,7 +370,8 @@ def _lay_paths(
         hi=np.searchsorted(starts, n, side="right"),
         a_r=np.ascontiguousarray(a_r.T),
         a_t=a_t.conj(),
-        weights=weights[..., order],
+        order=order,
+        weights=(table.static_scale * table.base_gain)[order],
         tap_offset=int(n[0]),
         sample_period=dt,
     )
@@ -400,6 +400,7 @@ def _render_taps(plan: _TapPlan, weights: np.ndarray, out: np.ndarray | None = N
     from ~6.5e4, so at 20 x 30 arrays a row covered by more than ~109 paths
     can render with bits that depend on the BLAS thread count.
     """
+    weights = np.ascontiguousarray(weights)  # numpy rounds strided operands differently
     if out is None:
         shape = weights.shape[:-1] + (len(plan.pulse), plan.a_r.shape[0], plan.a_t.shape[1])
         out = np.empty(shape, dtype=np.complex128)
@@ -445,14 +446,14 @@ def _select_window(energy: np.ndarray, energy_threshold: float) -> tuple[int, in
 
 
 def _plan_taps(
-    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, weights: np.ndarray,
-    energy_threshold: float, oversampling: int,
+    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, energy_threshold: float,
+    oversampling: int,
 ) -> _TapPlan:
     """Lay ``table`` on its delay grid and keep the leftmost shortest window
-    of rows holding >= (1 - energy_threshold) of the energy under
-    ``weights[0]``, the one window static and time-variant renders share."""
-    plan = _lay_paths(table, arrays, spec, weights, oversampling)
-    start, width = _select_window(_row_energies(plan, plan.weights[0]), energy_threshold)
+    of rows holding >= (1 - energy_threshold) of the energy under the static
+    weights, the one window static and time-variant renders share."""
+    plan = _lay_paths(table, arrays, spec, oversampling)
+    start, width = _select_window(_row_energies(plan, plan.weights), energy_threshold)
     return plan.rows(start, start + width)
 
 
@@ -471,11 +472,9 @@ def sample_channel(
     holding at least ``1 - energy_threshold`` of the energy is chosen first,
     and only that window is rendered.
     """
-    table = _path_table(real, arrays)
-    weights = table.static_scale * table.base_gain
-    plan = _plan_taps(table, arrays, spec, weights[None], energy_threshold, oversampling)
+    plan = _plan_taps(_path_table(real, arrays), arrays, spec, energy_threshold, oversampling)
     return SampledChannel(
-        taps=_render_taps(plan, plan.weights[0]),
+        taps=_render_taps(plan, plan.weights),
         sample_period=plan.sample_period,
         tap_offset=plan.tap_offset,
     )

@@ -22,7 +22,7 @@ from .io import (
 )
 from .link import run_cdf_experiment
 from .sampling import RngStream
-from .timevariant import _plan_evolution, _snapshot_chunks
+from .timevariant import SnapshotStream
 
 #: Substream labels used by the subcommands.
 REALIZATION_STREAM = 0
@@ -55,13 +55,14 @@ def _load_config(args):
 
 
 def _refuse_same_file(args, *outputs: tuple[str, Path | None]) -> None:
-    """Exit when two of a command's files are one: two ``outputs``, given as
-    ``(label, path)`` in writing order (a ``None`` path is not written), or an
-    output and ``--config``, which it would overwrite; the commands call it
-    before any drop runs."""
+    """Exit when two of a command's files are one path, or, both existing, one
+    file (a hard link): two ``outputs``, given as ``(label, path)`` in writing
+    order (a ``None`` path is not written), or an output and ``--config``,
+    which it would overwrite; the commands call it before any drop runs."""
     named = [(label, p) for label, p in (("--config", args.config), *outputs) if p is not None]
     for (first, first_path), (second, second_path) in itertools.combinations(named, 2):
-        if Path(first_path).resolve() == Path(second_path).resolve():
+        a, b = Path(first_path), Path(second_path)
+        if a.resolve() == b.resolve() or (a.exists() and b.exists() and a.samefile(b)):
             raise SystemExit(f"{first} {first_path} and {second} {second_path} are the same file")
 
 
@@ -112,9 +113,8 @@ def cmd_generate_static(args) -> int:
 
 def cmd_generate_dynamic(args) -> int:
     """Stream the snapshots to ``--output`` chunk by chunk through one buffer
-    of :data:`mmwchan.timevariant.CHUNK_BYTES`; only the per-path weights
-    grow with the snapshot count: one (snapshots x paths) complex array,
-    about three at the peak while they are drawn.  The file equals
+    of :data:`mmwchan.timevariant.CHUNK_BYTES`, so peak memory does not
+    depend on the snapshot count.  The file equals
     :func:`mmwchan.timevariant.evolve_channel` written by
     :func:`mmwchan.io.write_dynamic_channel`."""
     metadata = _metadata_path(args)
@@ -123,20 +123,15 @@ def cmd_generate_dynamic(args) -> int:
     real = realize_channel(config, realization_rng)
     evolution_rng = RngStream(config.seed, EVOLUTION_STREAM).generator()
     mob = config.mobility()
-    plan = _plan_evolution(
-        real,
-        config.arrays(),
-        config.pulse(),
-        mob,
-        evolution_rng,
-        config.energy_threshold,
+    stream = SnapshotStream(
+        real, config.arrays(), config.pulse(), mob, evolution_rng, config.energy_threshold,
         config.oversampling,
     )
     write_dynamic_chunks(
-        args.output, plan.shape, plan.sample_period, plan.tap_offset, mob.snapshot_period,
-        _snapshot_chunks(plan),
+        args.output, stream.shape, stream.sample_period, stream.tap_offset,
+        mob.snapshot_period, stream.chunks(),
     )
-    n_snapshots, n_taps = plan.shape[:2]
+    n_snapshots, n_taps = stream.shape[:2]
     run_info = _run_info(
         "generate-dynamic",
         config,
@@ -147,13 +142,13 @@ def cmd_generate_dynamic(args) -> int:
         n_snapshots=n_snapshots,
         snapshot_period_s=mob.snapshot_period,
         n_taps=n_taps,
-        tap_offset=plan.tap_offset,
-        sample_period_s=plan.sample_period,
+        tap_offset=stream.tap_offset,
+        sample_period_s=stream.sample_period,
     )
     write_realization_metadata(metadata, real, run_info)
     print(
         f"wrote {args.output}: {n_snapshots} snapshots x "
-        f"{n_taps} taps, offset {plan.tap_offset}, "
+        f"{n_taps} taps, offset {stream.tap_offset}, "
         f"{'LOS' if real.los.present else 'NLOS'}"
     )
     return 0

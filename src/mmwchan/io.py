@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bounds import COUNT, POSITIVE, check
 from .channel import ChannelRealization, ClusterRealization, LosComponent, SampledChannel
 from .geometry import LinkGeometry, RayAngles
 from .timevariant import TimeVariantChannel
@@ -233,8 +234,8 @@ def realization_to_dict(real: ChannelRealization) -> dict:
 
 def realization_from_dict(data: dict) -> ChannelRealization:
     """Inverse of :func:`realization_to_dict`.  A missing key, a value of the
-    wrong JSON kind, or per-ray arrays that are empty or of unequal length
-    raise ValueError naming the key or cluster."""
+    wrong JSON kind or range, per-ray arrays that are empty or of unequal
+    length, or no path at all raise ValueError naming the key or cluster."""
     clusters = []
     for index, c in enumerate(_get(data, "clusters", "a list of objects")):
         per_ray = _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}, "a list of numbers")
@@ -248,12 +249,15 @@ def realization_from_dict(data: dict) -> ChannelRealization:
         rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean", "an object"), _ANGLE_KEYS))
         clusters.append(ClusterRealization(**_decode(c, _CLUSTER_KEYS), **rays))
     los = _get(data, "los", "an object")
-    return ChannelRealization(
+    real = ChannelRealization(
         **_decode(data, _TOP_KEYS),
         geometry=LinkGeometry(**_decode(data, _GEOMETRY_KEYS)),
         clusters=clusters,
         los=LosComponent(**_decode(los, _LOS_KEYS), angles=RayAngles(**_decode(los, _ANGLE_KEYS))),
     )
+    check("carrier_frequency_hz", real.carrier_frequency, POSITIVE)
+    check("paths (rays of clusters, and los if present)", len(clusters) + los["present"], COUNT)
+    return real
 
 
 def write_realization_metadata(path, real: ChannelRealization, run_info: dict) -> None:

@@ -118,10 +118,10 @@ def ar1_complex_sequence(
     innovations.  ``initial`` pins ``x[0]`` (used when evolving an existing
     gain); otherwise ``x[0]`` is drawn from the stationary distribution.  An
     array ``initial`` of shape ``(P,)`` evolves P independent sequences,
-    returned as ``(n, P)``; their innovations are drawn sequence by sequence,
-    so sequence ``p`` sees exactly the variates of the ``p``-th of P scalar
-    calls.  At ``rho == 1`` the sequence is frozen at ``x[0]`` and no
-    innovations are consumed.
+    returned as ``(n, P)``.  Each step draws one :func:`sample_complex_gain`
+    of ``initial``'s shape, so continuing a sequence from its last value in
+    a second call draws what one longer call would.  At ``rho == 1`` the
+    sequence is frozen at ``x[0]`` and no innovations are consumed.
     """
     check("rho", rho, UNIT_CLOSED)
     check("n", n, COUNT, integer=True)
@@ -134,9 +134,9 @@ def ar1_complex_sequence(
     if innovation_scale == 0.0:
         x[1:] = x[0]
         return x
-    # Path by path, real parts then imaginary parts: sample_complex_gain's order.
-    z = rng.standard_normal((x[0].size, 2, n - 1))
-    w = ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)).T.reshape(x[1:].shape)
+    # Step by step, real parts then imaginary parts: sample_complex_gain's order.
+    z = rng.standard_normal((n - 1, 2) + x.shape[1:])
+    x[1:] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     for k in range(1, n):
-        x[k] = rho * x[k - 1] + innovation_scale * w[k - 1]
+        x[k] = rho * x[k - 1] + innovation_scale * x[k]
     return x

@@ -5,20 +5,18 @@ realization's draw, each path additionally rotating at its geometric
 Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
-The gains are drawn along the path table, in realization order.  The
-per-snapshot weights then go into the drop's one tap plan of
-:mod:`mmwchan.channel`, which sorts them by delay with the paths and keeps
-the tap window chosen from snapshot 0 as for static sampling, so every
-snapshot renders only the window's rows by the banded per-tap products.
-The snapshots are rendered in chunks on the calling thread: all at once
-into the returned array by :func:`evolve_channel`, or a few MiB at a time
-into one reused buffer by ``generate-dynamic``, which writes each chunk
-before rendering the next.  Every chunk runs one product per tap, stacked
-over the chunk's snapshots, and each tap's product sees the same path
-range, pulse row and weights whichever chunk runs it, so the bits do not
-depend on the chunk size.  Snapshot 0 reproduces the static channel bit for
-bit, and so does every snapshot in the static limit (zero velocity,
-coefficient 1); see :func:`mmwchan.channel._render_taps`.
+One iterator, :meth:`SnapshotStream.chunks`, renders the snapshots in time
+order, chunk by chunk: into the array :func:`evolve_channel` returns, or into
+one reused buffer of :data:`CHUNK_BYTES` that ``generate-dynamic`` writes
+out before rendering the next chunk.  The tap window is chosen from snapshot
+0 before anything is drawn, as for static sampling; each chunk continues the
+gains' AR(1) draws from the last chunk's state, step by step, each step along
+the path table in realization order.  So peak memory does not depend on the
+snapshot count beyond that buffer and the drop's tap plan, and as each tap's
+product sees the same path range, pulse row and weights whichever chunk runs
+it, neither do the bits depend on the chunk size.  Snapshot 0 reproduces the
+static channel bit for bit, and so does every snapshot in the static limit
+(zero velocity, coefficient 1); see :func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .channel import (
     _path_table,
     _plan_taps,
     _render_taps,
-    _TapPlan,
 )
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
@@ -45,6 +42,7 @@ from .sampling import ar1_complex_sequence
 __all__ = [
     "MobilitySpec",
     "TimeVariantChannel",
+    "SnapshotStream",
     "doppler_shift",
     "default_gain_correlation",
     "evolve_channel",
@@ -105,80 +103,83 @@ def default_gain_correlation(mob: MobilitySpec, carrier_frequency: float) -> flo
     return float(np.clip(np.exp(-2.0 * np.pi * nu_max * mob.snapshot_period), 0.0, 1.0))
 
 
-#: Bytes of the one buffer that ``generate-dynamic`` renders and writes its
-#: snapshots through, chunk by chunk (a chunk holds at least one snapshot);
-#: the per-path weights of :func:`_plan_evolution` grow with the snapshot
-#: count: one (snapshots x paths) complex array, about three at the peak while
-#: they are drawn (4096 snapshots of 173 paths: 33 MiB under tracemalloc).
+#: Bytes of the buffer that a :class:`SnapshotStream` renders its snapshots
+#: into, chunk by chunk: a chunk holds at least one snapshot, and its taps,
+#: or eight times its weights (room for the AR(1) draws and Doppler phasors
+#: beside them), fit in it.  Peak memory does not grow with the snapshot count.
 CHUNK_BYTES = 8 << 20
 
 
-def _plan_evolution(
-    real: ChannelRealization,
-    arrays: ArrayPair,
-    spec: PulseSpec,
-    mob: MobilitySpec,
-    rng: np.random.Generator,
-    energy_threshold: float,
-    oversampling: int,
-) -> _TapPlan:
-    """Draw each snapshot's path weights and plan their taps; see :func:`evolve_channel`."""
-    rho = mob.gain_correlation
-    if rho is None:
-        rho = default_gain_correlation(mob, real.carrier_frequency)
-    table = _path_table(real, arrays)
-    n_snap = mob.n_snapshots
-    weights = ar1_complex_sequence(rho, n_snap, 1.0, rng, initial=table.base_gain)
-    if table.los_index is not None and rho < 1.0:
-        # Direct path: phase-only aging; snapshots 1.. are projected back onto
-        # the unit circle, where snapshot 0, exp(j*phase), lies.  Not when
-        # frozen: z / |z| is not bitwise z even on the unit circle, and the
-        # frozen limit must equal the static taps bitwise.
-        z = weights[1:, table.los_index]
-        weights[1:, table.los_index] = z / np.abs(z)
-    nu = doppler_shift(table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
-    t = np.arange(n_snap) * mob.snapshot_period
-    weights *= np.exp(-2j * np.pi * nu[None, :] * t[:, None])
-    weights *= table.static_scale
-    return _plan_taps(table, arrays, spec, weights, energy_threshold, oversampling)
+class SnapshotStream:
+    """A drop's snapshot sequence whose tap window is chosen from snapshot 0,
+    the static weights, on construction, so :attr:`shape` (n_snapshots, P,
+    N_R, N_T), :attr:`sample_period` and :attr:`tap_offset` are known before
+    anything is drawn; :meth:`chunks`, iterated once, renders it."""
 
+    def __init__(
+        self, real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, mob: MobilitySpec,
+        rng: np.random.Generator, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
+        oversampling: int = 1,
+    ):
+        self._rho = mob.gain_correlation
+        if self._rho is None:
+            self._rho = default_gain_correlation(mob, real.carrier_frequency)
+        self._table = _path_table(real, arrays)
+        self._plan = _plan_taps(self._table, arrays, spec, energy_threshold, oversampling)
+        self._nu = doppler_shift(self._table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
+        self._rng, self._mob = rng, mob
+        self.shape = (mob.n_snapshots, *self._plan.shape)
+        self.sample_period, self.tap_offset = self._plan.sample_period, self._plan.tap_offset
 
-def _snapshot_chunks(plan: _TapPlan) -> Iterator[np.ndarray]:
-    """The whole sequence in time order, rendered chunk by chunk into one
-    reused buffer of :data:`CHUNK_BYTES`, at least one snapshot and at most
-    the sequence: each chunk is a view of that buffer, valid until the next
-    one is drawn."""
-    n_snap, *snapshot = plan.shape
-    snapshot_bytes = np.dtype(np.complex128).itemsize * int(np.prod(snapshot))
-    per_chunk = min(max(1, CHUNK_BYTES // snapshot_bytes), n_snap)
-    buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128)
-    for start in range(0, n_snap, per_chunk):
-        chunk = buffer[: min(per_chunk, n_snap - start)]
-        _render_taps(plan, plan.weights[start : start + len(chunk)], out=chunk)
-        yield chunk
+    def chunks(self, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The snapshots in time order, chunk by chunk, each rendered into
+        ``out[start:stop]`` when ``out`` of :attr:`shape` is given, else into
+        one reused buffer and valid only until the next chunk is drawn.
+
+        A chunk continues the gains' AR(1) sequence from the last chunk's
+        state, so the bits do not depend on the chunk length.  The direct
+        path's gains are projected onto the unit circle, where snapshot 0,
+        exp(j*phase), lies; not when frozen: z / |z| is not bitwise z, and the
+        frozen limit must equal the static taps bitwise.  Then each path
+        rotates at its Doppler frequency and takes its static scale."""
+        table, plan, rho = self._table, self._plan, self._rho
+        n_snap, *snapshot = self.shape
+        per_snapshot = 16 * max(int(np.prod(snapshot)), 8 * len(plan.order))
+        per_chunk = min(max(1, CHUNK_BYTES // per_snapshot), n_snap)
+        buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128) if out is None else None
+        state = table.base_gain
+        for start in range(0, n_snap, per_chunk):
+            stop = min(start + per_chunk, n_snap)
+            # row 0 is snapshot 0 itself, or the last chunk's state
+            last = int(start > 0)
+            gains = ar1_complex_sequence(rho, stop - start + last, 1.0, self._rng, initial=state)
+            state = gains[-1].copy()
+            if table.los_index is not None and rho < 1.0:
+                gains[1:, table.los_index] /= np.abs(gains[1:, table.los_index])
+            weights = gains[last:]
+            t = np.arange(start, stop) * self._mob.snapshot_period
+            weights *= np.exp(-2j * np.pi * self._nu[None, :] * t[:, None])
+            weights *= table.static_scale
+            chunk = out[start:stop] if buffer is None else buffer[: stop - start]
+            _render_taps(plan, weights[:, plan.order], out=chunk)
+            yield chunk
 
 
 def evolve_channel(
-    real: ChannelRealization,
-    arrays: ArrayPair,
-    spec: PulseSpec,
-    mob: MobilitySpec,
-    rng: np.random.Generator,
-    energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
+    real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, mob: MobilitySpec,
+    rng: np.random.Generator, energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
     oversampling: int = 1,
 ) -> TimeVariantChannel:
-    """Render a realization as a sequence of tap-tensor snapshots.
-
-    Per-path AR(1) innovation draws run in path order (direct path last);
-    nothing is drawn at coefficient 1.  The tap window is selected once, from
-    snapshot 0's row energies before any snapshot is rendered, and shared by
-    all snapshots; snapshot 0 equals the static sampling of the same
-    realization.
-    """
-    plan = _plan_evolution(real, arrays, spec, mob, rng, energy_threshold, oversampling)
+    """Render a realization as a sequence of tap-tensor snapshots: the chunks
+    of :class:`SnapshotStream`, rendered into the returned array.  Per-path
+    AR(1) innovations are drawn snapshot by snapshot, each step in path order
+    (direct path last); nothing is drawn at coefficient 1.  The tap window,
+    chosen from snapshot 0, is shared by all snapshots; snapshot 0 equals the
+    static sampling of the same realization."""
+    stream = SnapshotStream(real, arrays, spec, mob, rng, energy_threshold, oversampling)
+    snapshots = np.empty(stream.shape, dtype=np.complex128)
+    for _ in stream.chunks(out=snapshots):
+        pass
     return TimeVariantChannel(
-        snapshots=_render_taps(plan, plan.weights),
-        sample_period=plan.sample_period,
-        tap_offset=plan.tap_offset,
-        snapshot_period=mob.snapshot_period,
+        snapshots, stream.sample_period, stream.tap_offset, mob.snapshot_period
     )

@@ -2,10 +2,11 @@
 
 This is the straightforward loop form of tap rendering: one ``np.kron``
 steering vector and one N_R x N_T outer product per ray, added onto the
-delay grid path by path, and one scalar AR(1) sequence per path for the
-snapshot gains; the tap window is searched width by width.  The library
-renders the same quantities as stacked per-tap products and finds the window
-with a two-pointer scan; the tests compare the two on seeded drops.
+delay grid path by path, and one scalar AR(1) recursion per path for the
+snapshot gains, on innovations drawn snapshot by snapshot; the tap window is
+searched width by width.  The library renders the same quantities as stacked
+per-tap products and finds the window with a two-pointer scan; the tests
+compare the two on seeded drops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from mmwchan.channel import SampledChannel, _gain_normalization
 from mmwchan.geometry import RayAngles
 from mmwchan.pulse import end_to_end_pulse
-from mmwchan.sampling import ar1_complex_sequence
 from mmwchan.timevariant import TimeVariantChannel, default_gain_correlation, doppler_shift
 
 
@@ -127,8 +127,10 @@ def sample_channel(real, arrays, spec, energy_threshold=1e-4, oversampling=1):
 
 
 def evolve_channel(real, arrays, spec, mob, rng, energy_threshold=1e-4, oversampling=1):
-    """Snapshot sequence from one scalar AR(1) sequence per path, in path
-    order, and one full-grid assembly per snapshot."""
+    """Snapshot sequence from one scalar AR(1) recursion per path and one
+    full-grid assembly per snapshot.  The innovations are drawn for all paths
+    at once, snapshot by snapshot, real parts then imaginary parts; none at
+    coefficient 1."""
     rho = mob.gain_correlation
     if rho is None:
         rho = default_gain_correlation(mob, real.carrier_frequency)
@@ -136,10 +138,15 @@ def evolve_channel(real, arrays, spec, mob, rng, energy_threshold=1e-4, oversamp
     n_snap = mob.n_snapshots
     n_paths = len(table["tau_rel"])
     gains = np.empty((n_snap, n_paths), dtype=np.complex128)
-    for p in range(n_paths):
-        gains[:, p] = ar1_complex_sequence(
-            rho, n_snap, 1.0, rng, initial=table["base_gain"][p]
-        )
+    gains[0] = table["base_gain"]
+    if rho < 1.0:
+        z = rng.standard_normal((n_snap - 1, 2, n_paths))
+        innovations = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        for p in range(n_paths):
+            for k in range(1, n_snap):
+                gains[k, p] = rho * gains[k - 1, p] + np.sqrt(1.0 - rho**2) * innovations[k - 1, p]
+    else:
+        gains[1:] = gains[0]
     los = table["los_index"]
     if los is not None and rho < 1.0 and n_snap > 1:
         z = gains[1:, los]

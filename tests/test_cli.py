@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -120,33 +122,44 @@ def _config_args(overrides):
     return [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
 
 
+ONE_BY_ONE = {
+    "tx_horizontal": 1, "tx_vertical": 1, "rx_horizontal": 1, "rx_vertical": 1, "n_streams": 1
+}
+
+
 @pytest.mark.parametrize("n_snapshots", [1, 2, 9, 64])
 def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapshots):
     """generate-dynamic writes chunk by chunk the bytes that evolve_channel
     and write_dynamic_channel write at once, which perfbench's traced run
-    compares against."""
-    overrides = {"seed": 7, "v_rx_mps": 20, "n_snapshots": n_snapshots}
-    config = parse_config(None, {k: str(v) for k, v in overrides.items()})
-    real = realize_channel(config, RngStream(7, REALIZATION_STREAM).generator())
-    channel = evolve_channel(
-        real, config.arrays(), config.pulse(), config.mobility(),
-        RngStream(7, EVOLUTION_STREAM).generator(), config.energy_threshold,
-        config.oversampling,
-    )
-    write_dynamic_channel(tmp_path / "memory.mmwc", channel)
-    expected = (tmp_path / "memory.mmwc").read_bytes()
-    # one snapshot per chunk, five (dividing none of 2, 9, 64 and none of
-    # 1, 8, 63) and more than the whole tensor
-    for per_chunk in (1, 5, n_snapshots + 1):
-        monkeypatch.setattr(timevariant, "CHUNK_BYTES", per_chunk * channel.snapshots[0].nbytes)
-        out = tmp_path / f"stream{per_chunk}.mmwc"
-        run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
-        assert out.read_bytes() == expected, per_chunk
-        run, _ = read_realization_metadata(out.with_suffix(".json"))
-        assert run["n_snapshots"] == n_snapshots
-        assert (run["n_taps"], run["tap_offset"]) == (channel.n_taps, channel.tap_offset)
-        assert run["sample_period_s"] == channel.sample_period
-        assert run["snapshot_period_s"] == channel.snapshot_period
+    compares against: at 20 x 30 arrays, where a chunk's taps set its
+    length, and at 1 x 1, where eight times its weights do."""
+    for arrays in ({}, ONE_BY_ONE):
+        overrides = {"seed": 7, "v_rx_mps": 20, "n_snapshots": n_snapshots, **arrays}
+        config = parse_config(None, {k: str(v) for k, v in overrides.items()})
+        real = realize_channel(config, RngStream(7, REALIZATION_STREAM).generator())
+        monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1 << 40)  # one chunk
+        channel = evolve_channel(
+            real, config.arrays(), config.pulse(), config.mobility(),
+            RngStream(7, EVOLUTION_STREAM).generator(), config.energy_threshold,
+            config.oversampling,
+        )
+        write_dynamic_channel(tmp_path / "memory.mmwc", channel)
+        expected = (tmp_path / "memory.mmwc").read_bytes()
+        weight_bytes = 8 * 16 * len(_path_table(real, config.arrays()).tau_rel)
+        assert (weight_bytes > channel.snapshots[0].nbytes) == bool(arrays)
+        # one snapshot per chunk, five (dividing none of 2, 9, 64 and none of
+        # 1, 8, 63) and more than the whole tensor
+        for per_chunk in (1, 5, n_snapshots + 1):
+            chunk_bytes = per_chunk * max(channel.snapshots[0].nbytes, weight_bytes)
+            monkeypatch.setattr(timevariant, "CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"stream{per_chunk}.mmwc"
+            run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
+            assert out.read_bytes() == expected, (arrays, per_chunk)
+            run, _ = read_realization_metadata(out.with_suffix(".json"))
+            assert run["n_snapshots"] == n_snapshots
+            assert (run["n_taps"], run["tap_offset"]) == (channel.n_taps, channel.tap_offset)
+            assert run["sample_period_s"] == channel.sample_period
+            assert run["snapshot_period_s"] == channel.snapshot_period
 
 
 def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
@@ -173,28 +186,31 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
 
 
 def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
-    """256 snapshots of a drop whose whole tensor is 81 MB stream through one
-    chunk buffer: the peak traced allocation stays below three chunks plus
-    the size of one snapshot on the full grid, a margin for the plan (path
+    """Snapshots stream through one chunk buffer, their weights drawn chunk
+    by chunk: the peak traced allocation stays below three chunks plus the
+    size of one snapshot on the full grid, a margin for the plan (path
     table, full-grid tap plan and the row energies that select the tap
-    window)."""
-    overrides = {"seed": 5, "v_rx_mps": 20, "n_snapshots": 256}
-    config = parse_config(None, {k: str(v) for k, v in overrides.items()})
-    real = realize_channel(config, RngStream(5, REALIZATION_STREAM).generator())
-    table = _path_table(real, config.arrays())
-    plan = _lay_paths(
-        table, config.arrays(), config.pulse(), table.base_gain[None], config.oversampling
-    )
-    full_grid_bytes = int(np.prod(plan.shape[1:])) * 16
-    out = tmp_path / "seq.mmwc"
-    tracemalloc.start()
-    try:
-        run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.stat().st_size >= 60e6
-    assert peak < 3 * timevariant.CHUNK_BYTES + full_grid_bytes
+    window).  At 20 x 30 arrays the whole tensor of 256 snapshots is 81 MB;
+    at 1 x 1 arrays the weights of 32768 snapshots of a 173-path drop would
+    be 91 MB."""
+    for overrides, min_file_bytes in (
+        ({"seed": 5, "v_rx_mps": 20, "n_snapshots": 256}, 60e6),
+        ({"seed": 152, "v_rx_mps": 20, "n_snapshots": 32768, **ONE_BY_ONE}, 20e6),
+    ):
+        config = parse_config(None, {k: str(v) for k, v in overrides.items()})
+        real = realize_channel(config, RngStream(config.seed, REALIZATION_STREAM).generator())
+        table = _path_table(real, config.arrays())
+        plan = _lay_paths(table, config.arrays(), config.pulse(), config.oversampling)
+        full_grid_bytes = int(np.prod(plan.shape)) * 16
+        out = tmp_path / "seq.mmwc"
+        tracemalloc.start()
+        try:
+            run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size >= min_file_bytes
+        assert peak < 3 * timevariant.CHUNK_BYTES + full_grid_bytes, overrides
 
 
 def test_eval_cdf_writes_csv_and_log(tmp_path, capsys):
@@ -262,33 +278,43 @@ def test_eval_cdf_refuses_trial_log_that_is_its_output(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, config_name, outputs, label",
+    "command, config_name, outputs, label, target",
     [
-        ("eval-cdf", "run.cfg", "--output run.cfg", "--output"),
-        ("eval-cdf", "run.cfg", "--output cdf.csv --trial-log run.cfg", "--trial-log"),
-        ("generate-static", "run.cfg", "--output run.cfg", "--output"),
-        ("generate-dynamic", "run.cfg", "--output run.cfg", "--output"),
-        ("generate-static", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata"),
-        ("generate-dynamic", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata"),
-        ("generate-static", "drop.json", "--output drop.mmwc", "its default sidecar"),
+        ("eval-cdf", "run.cfg", "--output run.cfg", "--output", "run.cfg"),
+        ("eval-cdf", "run.cfg", "--output cdf.csv --trial-log run.cfg", "--trial-log", "run.cfg"),
+        ("generate-static", "run.cfg", "--output run.cfg", "--output", "run.cfg"),
+        ("generate-dynamic", "run.cfg", "--output run.cfg", "--output", "run.cfg"),
+        ("generate-static", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata",
+         "run.cfg"),
+        ("generate-dynamic", "run.cfg", "--output d.mmwc --metadata run.cfg", "--metadata",
+         "run.cfg"),
+        ("generate-static", "drop.json", "--output drop.mmwc", "its default sidecar", "drop.json"),
+        ("eval-cdf", "run.cfg", "--output link.csv", "--output", "link.csv"),
     ],
     ids=[
         "cdf-output", "cdf-trial-log", "static-output", "dynamic-output",
-        "static-metadata", "dynamic-metadata", "static-default-sidecar",
+        "static-metadata", "dynamic-metadata", "static-default-sidecar", "cdf-output-hard-link",
     ],
 )
-def test_no_output_overwrites_the_config_file(tmp_path, command, config_name, outputs, label):
-    """Every output is checked against ``--config`` before any drop runs: the
-    command exits naming both, and the config file keeps its bytes."""
+def test_no_output_overwrites_the_config_file(
+    tmp_path, command, config_name, outputs, label, target
+):
+    """Every output is checked against ``--config`` before any drop runs, as
+    a path and, when both exist, as a file (``target`` differs from the
+    config's name for a hard link to it): the command exits naming both, and
+    the config file keeps its bytes."""
     config = tmp_path / config_name
     config.write_text("seed = 4\nn_trials = 2\nn_snapshots = 2\n")
     before = config.read_bytes()
+    if target != config_name:
+        os.link(config, tmp_path / target)
     argv = [str(tmp_path / a) if i % 2 else a for i, a in enumerate(outputs.split())]
-    name = config_name.replace(".", r"\.")
-    with pytest.raises(SystemExit, match=rf"^--config .*{name} and {label} .*{name} are the same"):
+    name, other = re.escape(config_name), re.escape(target)
+    message = rf"^--config .*{name} and {label} .*{other} are the same file"
+    with pytest.raises(SystemExit, match=message):
         run_cli(command, "--config", config, *argv)
     assert config.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == [config_name]
+    assert {f.name for f in tmp_path.iterdir()} == {config_name, target}
 
 
 def test_malformed_set_argument_exits(tmp_path):

@@ -400,6 +400,12 @@ def _no_rays(realization):
         cluster[key].clear()
 
 
+def _no_paths(realization):
+    """No cluster and a blocked direct path."""
+    realization["clusters"].clear()
+    realization["los"]["present"] = False
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -409,8 +415,13 @@ def _no_rays(realization):
         (lambda r: r["clusters"][0]["delay_s"].pop(), "cluster 0: per-ray arrays"),
         (lambda r: r["clusters"][0]["gain_imag"].append(0.0), "cluster 0: per-ray arrays"),
         (_no_rays, "cluster 0: no rays"),
+        (_no_paths, "paths .*clusters.* must be .* in \\[1, inf\\), got 0"),
+        (lambda r: r.update(carrier_frequency_hz=0), "carrier_frequency_hz must be .* got 0"),
     ],
-    ids=["los-key", "mean-key", "geometry-key", "short-delays", "long-gains", "no-rays"],
+    ids=[
+        "los-key", "mean-key", "geometry-key", "short-delays", "long-gains", "no-rays",
+        "no-paths", "zero-carrier",
+    ],
 )
 def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):
     path = sidecar_with(tmp_path, edit)

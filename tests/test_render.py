@@ -64,6 +64,11 @@ CONFIGS = {
     "M8-10m": ScenarioConfig(n_streams=8, distance_m=10.0),
 }
 
+#: 1 x 1 arrays, where a drop's paths outnumber its taps' entries.
+ONE_BY_ONE = ScenarioConfig(
+    rx_horizontal=1, rx_vertical=1, tx_horizontal=1, tx_vertical=1, n_streams=1
+)
+
 
 def _drop(config, seed):
     config = dataclasses.replace(config, seed=seed)
@@ -123,24 +128,24 @@ def test_evolve_channel_matches_per_ray_oracle(name, snapshot_period):
         assert _relative_error(got.snapshots, want.snapshots) <= RTOL
 
 
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", [*CONFIGS, "1x1"])
 def test_snapshot_zero_is_static_bitwise_on_moving_drops(name):
     mob = MobilitySpec(v_rx=20.0, v_tx=3.0, snapshot_period=1e-6, n_snapshots=3)
     for seed in range(50):
-        config, real = _drop(CONFIGS[name], seed)
+        config, real = _drop(CONFIGS.get(name, ONE_BY_ONE), seed)
         static = _sample(config, real)
         moving = _evolve(config, real, mob, seed)
         assert moving.tap_offset == static.tap_offset, seed
         assert np.array_equal(moving.snapshots[0], static.taps), seed
 
 
-@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("name", [*CONFIGS, "1x1"])
 def test_frozen_limit_is_static_bitwise(name):
     mob = MobilitySpec(
         v_rx=0.0, v_tx=0.0, snapshot_period=1e-6, n_snapshots=5, gain_correlation=1.0
     )
     for seed in range(50):
-        config, real = _drop(CONFIGS[name], seed)
+        config, real = _drop(CONFIGS.get(name, ONE_BY_ONE), seed)
         static = _sample(config, real)
         frozen = _evolve(config, real, mob, seed)
         assert frozen.tap_offset == static.tap_offset, seed
@@ -202,17 +207,14 @@ def test_gram_row_energies_match_rendered_rows_and_their_window(name):
     within round-off of the total, and pick the full-grid render's window.
     Seeds 82 and 152 give default drops of 157 and 173 paths, whose Gram and
     quadratic forms are large enough for OpenBLAS to thread them."""
-    base = CONFIGS.get(name) or ScenarioConfig(
-        rx_horizontal=1, rx_vertical=1, tx_horizontal=1, tx_vertical=1, n_streams=1
-    )
+    base = CONFIGS.get(name, ONE_BY_ONE)
     for seed in [*range(50), *((82, 152) if name == "defaults" else ())]:
         config, real = _drop(base, seed)
         table = _path_table(real, config.arrays())
-        weights = (table.static_scale * table.base_gain)[None]
-        plan = _lay_paths(table, config.arrays(), config.pulse(), weights, config.oversampling)
-        full = _render_taps(plan, plan.weights[0])
+        plan = _lay_paths(table, config.arrays(), config.pulse(), config.oversampling)
+        full = _render_taps(plan, plan.weights)
         rendered = np.einsum("prt,prt->p", full, full.conj()).real
-        energy = _row_energies(plan, plan.weights[0])
+        energy = _row_energies(plan, plan.weights)
         assert np.all(energy >= 0.0), seed
         assert np.max(np.abs(energy - rendered)) <= 1e-12 * rendered.sum(), seed
         for threshold in (config.energy_threshold, 0.1):
@@ -264,15 +266,14 @@ def test_band_holds_exactly_the_paths_covering_each_row(delays, los, half_length
     tau = np.array(delays) * SYMBOL_PERIOD
     spec = PulseSpec(SYMBOL_PERIOD, truncation_half_length=half_length)
     table = _table(tau, np.random.default_rng(0))
-    # Each path's table row as its weight: the plan's weights spell its order.
-    labels = np.arange(len(tau))[None]
-    plan = _lay_paths(table, SMALL_ARRAYS, spec, labels, oversampling)
-    order = plan.weights[0]
+    plan = _lay_paths(table, SMALL_ARRAYS, spec, oversampling)
+    order = plan.order
 
     # Stable delay order: ties keep table order.
     assert sorted(order) == list(range(len(tau)))
     assert all((tau[a], a) < (tau[b], b) for a, b in zip(order[:-1], order[1:]))
-    # The steering matrices follow the same order.
+    # The static weights and the steering matrices follow the same order.
+    assert np.array_equal(plan.weights, (table.static_scale * table.base_gain)[order])
     ang = table.angles
     a_r = steering_vector(SMALL_ARRAYS.rx, ang.aoa_azimuth, ang.aoa_elevation)
     a_t = steering_vector(SMALL_ARRAYS.tx, ang.aod_azimuth, ang.aod_elevation)
@@ -311,9 +312,10 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
             table = _path_table(real, arrays)
         n_paths = len(table.tau_rel)
         weights = rng.standard_normal((5, n_paths)) + 1j * rng.standard_normal((5, n_paths))
-        plan = _lay_paths(table, arrays, spec, weights, oversampling)
+        plan = _lay_paths(table, arrays, spec, oversampling)
+        weights = weights[:, plan.order]
         n_rows = len(plan.pulse)
-        full = _render_taps(plan, plan.weights)
+        full = _render_taps(plan, weights)
         bare = plan.lo == plan.hi
         if name == "gapped":
             assert bare.any()
@@ -327,9 +329,9 @@ def test_any_window_and_weight_subset_renders_as_in_full_grid(name):
         subsets = [[2], [0, 3, 4], rng.permutation(5)[:3]]
         for a, b in windows:
             for sub in subsets:
-                got = _render_taps(plan.rows(a, b), plan.weights[sub])
+                got = _render_taps(plan.rows(a, b), weights[sub])
                 assert np.array_equal(got, full[sub, a:b]), (seed, a, b, sub)
-            got = _render_taps(plan.rows(a, b), plan.weights[1])
+            got = _render_taps(plan.rows(a, b), weights[1])
             assert np.array_equal(got, full[1, a:b]), (seed, a, b)
 
 
@@ -345,7 +347,7 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
     arrays = config.arrays()
     n_r, n_t = arrays.rx.n_elements, arrays.tx.n_elements
     table = _path_table(real, arrays)
-    plan = _lay_paths(table, arrays, config.pulse(), table.base_gain[None], config.oversampling)
+    plan = _lay_paths(table, arrays, config.pulse(), config.oversampling)
     n_paths = len(table.tau_rel)
     covered = plan.lo < plan.hi
 
@@ -371,27 +373,34 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
 
 def _stream(config, real, mob, seed):
     """The chunks ``generate-dynamic`` writes, copied out of their buffer."""
-    plan = timevariant._plan_evolution(
+    stream = timevariant.SnapshotStream(
         real, config.arrays(), config.pulse(), mob, RngStream(seed, 1).generator(),
         config.energy_threshold, config.oversampling,
     )
-    return [chunk.copy() for chunk in timevariant._snapshot_chunks(plan)]
+    return [chunk.copy() for chunk in stream.chunks()]
 
 
 @pytest.mark.parametrize("n_snapshots", [2, 3, 8, 64])
 def test_moving_snapshots_do_not_depend_on_block_count(n_snapshots, monkeypatch):
-    """Any chunking of the snapshots renders the bits of ``evolve_channel``,
-    which renders the whole sequence in one call."""
-    config, real = _drop(CONFIGS["oversampling2"], 5)
-    mob = MobilitySpec(v_rx=20.0, v_tx=3.0, snapshot_period=1e-6, n_snapshots=n_snapshots)
-    reference = _evolve(config, real, mob, 5).snapshots
-    # one snapshot per chunk, a chunk that divides neither N nor N - 1,
-    # and one chunk larger than the whole tensor
-    for per_chunk in (1, 5, n_snapshots + 1):
-        monkeypatch.setattr(timevariant, "CHUNK_BYTES", per_chunk * reference[0].nbytes)
-        chunks = _stream(config, real, mob, 5)
-        assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), reference), per_chunk
+    """Any chunking of the snapshots renders the bits of ``evolve_channel``
+    in one chunk.  A chunk's taps, or eight times its weights, set its
+    length: the taps at oversampling 2 and 20 x 30 arrays, the weights of
+    the drop's paths at 1 x 1 arrays."""
+    for base, weights_cap in ((CONFIGS["oversampling2"], False), (ONE_BY_ONE, True)):
+        config, real = _drop(base, 5)
+        mob = MobilitySpec(v_rx=20.0, v_tx=3.0, snapshot_period=1e-6, n_snapshots=n_snapshots)
+        monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1 << 40)
+        reference = _evolve(config, real, mob, 5).snapshots
+        weight_bytes = 8 * 16 * len(_path_table(real, config.arrays()).tau_rel)
+        assert (weight_bytes > reference[0].nbytes) == weights_cap
+        # one snapshot per chunk, a chunk that divides neither N nor N - 1,
+        # and one chunk larger than the whole tensor
+        for per_chunk in (1, 5, n_snapshots + 1):
+            chunk_bytes = per_chunk * max(reference[0].nbytes, weight_bytes)
+            monkeypatch.setattr(timevariant, "CHUNK_BYTES", chunk_bytes)
+            chunks = _stream(config, real, mob, 5)
+            assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate(chunks), reference), per_chunk
 
 
 # Runs in a fresh interpreter: the BLAS thread count is fixed at load.

@@ -124,16 +124,21 @@ def test_ar1_rho_one_freezes_sequence():
     assert probe == rng2.standard_normal()
 
 
-def test_vector_ar1_draws_match_per_path_draws():
-    # The vectorized recursion consumes the stream path by path, exactly as
-    # one scalar sequence per path would.
+def test_vector_ar1_draws_match_time_split_draws():
+    # One vector call draws step by step, each step one sample_complex_gain
+    # of the sequences' shape, so a sequence continued from its last value in
+    # later calls, of any lengths, sees the same variates and gets the same bits.
     initial = np.exp(1j * np.arange(7.0))
-    got = ar1_complex_sequence(0.8, 16, rng=np.random.default_rng(3), initial=initial)
+    whole = np.random.default_rng(3)
+    got = ar1_complex_sequence(0.8, 16, rng=whole, initial=initial)
     rng = np.random.default_rng(3)
-    want = np.stack(
-        [ar1_complex_sequence(0.8, 16, rng=rng, initial=x0) for x0 in initial], axis=-1
-    )
-    np.testing.assert_array_equal(got, want)
+    parts = [ar1_complex_sequence(0.8, 1, rng=rng, initial=initial)]
+    for n in (5, 1, 9):
+        parts.append(ar1_complex_sequence(0.8, n + 1, rng=rng, initial=parts[-1][-1])[1:])
+    np.testing.assert_array_equal(got, np.concatenate(parts))
+    assert rng.random() == whole.random()
+    first_step = sample_complex_gain(np.random.default_rng(3), size=7)
+    np.testing.assert_allclose(got[1], 0.8 * initial + 0.6 * first_step, rtol=1e-15)
     frozen_rng = np.random.default_rng(3)
     frozen = ar1_complex_sequence(1.0, 5, rng=frozen_rng, initial=initial)
     np.testing.assert_array_equal(frozen, np.broadcast_to(initial, (5, 7)))

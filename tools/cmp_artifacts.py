@@ -15,6 +15,8 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
   Doppler (``gain_correlation=0.9`` at zero speed), a moving transmitter
   (``v_tx_mps=3``), and frozen at the defaults (zero speed, where the
   coefficient defaults to 1);
+- ``generate-dynamic`` with 4096 snapshots at ``v_rx_mps=20`` on 1x1 arrays
+  (``n_streams=1``), where a chunk's weights, not its taps, set its length;
 - a 300-drop ``eval-cdf`` with its trial log, at ``--jobs 1`` and ``2``;
 - a serial 100-drop ``eval-cdf`` with its trial log at ``n_streams=8``,
   ``distance_m=50``, where 35-44 of each seed's 100 drops have windows long
@@ -22,7 +24,7 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
-with its serial ones, 140 pairs in all.  Prints each differing pair and an
+with its serial ones, 150 pairs in all.  Prints each differing pair and an
 "N of M differ" line; exits 1 if any pair differs.
 """
 
@@ -54,6 +56,11 @@ RUNS = {
     "dynamic-16-aging": ["generate-dynamic", "--set", "gain_correlation=0.9", *_SIXTEEN],
     "dynamic-16-vtx3": ["generate-dynamic", "--set", "v_tx_mps=3", *_SIXTEEN],
     "dynamic-16-frozen": ["generate-dynamic", *_SIXTEEN],
+    "dynamic-4096-1x1": [
+        "generate-dynamic", *_MOVING, "--set", "n_snapshots=4096", "--set", "n_streams=1",
+        *(arg for key in ("tx", "rx") for side in ("horizontal", "vertical")
+          for arg in ("--set", f"{key}_{side}=1")),
+    ],
     **{
         f"cdf-jobs{jobs}": ["eval-cdf", "--set", "n_trials=300", "--jobs", str(jobs)]
         for jobs in (1, 2)

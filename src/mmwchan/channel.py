@@ -6,21 +6,20 @@ the realization on a uniform delay grid through the end-to-end pulse and
 renders only the grid's shortest window that retains the requested share of
 the total tap energy.
 
-Rendering is shared with :mod:`mmwchan.timevariant`.  A realization is
-flattened once into a path table, in the order its paths were drawn, which
-is the order gain aging draws in.  One function, :func:`_lay_paths`, sorts
-the paths by delay, the only reordering a drop sees, and builds the drop's
-tap plan in that order: the steering matrices ``A_r`` (N_R x paths) and
-``A_t`` (paths x N_T), the per-path weights, and the truncated pulse of
-every path on the delay grid as a matrix ``Pi`` (taps x paths).  A path's
-first and last covered taps grow with its delay, so the paths covering tap
-``n`` form one contiguous range, and under per-path weights ``w`` tap ``n``
-is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over that range only: one small
-matrix product per tap.  A tap's value never depends on which other taps,
-or which other weight sets, are rendered with it, so the window is chosen
-first (:func:`_plan_taps`), from each tap's energy as a Hermitian form in
-the path Gram, and kept as a slice of the plan's rows; only its taps are
-rendered.
+Rendering is shared with :mod:`mmwchan.timevariant`.  One function,
+:func:`_lay_paths`, flattens a realization and sorts its paths by delay, the
+only reordering a drop sees, into the drop's one path record, its tap plan:
+in delay order, the per-path gains that gain aging ages, the steering
+matrices ``A_r`` (N_R x paths) and ``A_t`` (paths x N_T), the per-path
+weights, and the truncated pulse of every path on the delay grid as a matrix
+``Pi`` (taps x paths).  A path's first and last covered taps grow with its
+delay, so the paths covering tap ``n`` form one contiguous range, and under
+per-path weights ``w`` tap ``n`` is ``A_r^T diag(Pi[n] * w) conj(A_t)`` over
+that range only: one small matrix product per tap.  A tap's value never
+depends on which other taps, or which other weight sets, are rendered with
+it, so the window is chosen first (:func:`_plan_taps`), from each tap's
+energy as a Hermitian form in the path Gram, and kept as a slice of the
+plan's rows; only its taps are rendered.
 """
 
 from __future__ import annotations
@@ -254,81 +253,35 @@ def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> Chann
 
 
 @dataclass(eq=False)
-class _PathTable:
-    """Per-path quantities of a realization, in the order they were drawn.
-
-    Row ``p`` of every array describes path ``p``; the direct path, when
-    present, is the last row.  ``static_scale`` holds the deterministic
-    amplitude (normalization times attenuation); ``base_gain`` the stochastic
-    unit-variance gain (``alpha`` per scattered ray, ``exp(j*phase)`` for the
-    direct path).  Gain aging draws in this order; :func:`_lay_paths` sorts
-    the paths by delay for rendering.
-    """
-
-    static_scale: np.ndarray  # (n_paths,) real
-    base_gain: np.ndarray    # (n_paths,) complex
-    tau_rel: np.ndarray      # (n_paths,) delay relative to the direct path
-    angles: RayAngles        # (n_paths,) arrays
-    los_index: int | None
-
-
-def _path_table(real: ChannelRealization, arrays: ArrayPair) -> _PathTable:
-    """Flatten a realization into per-path quantities.
-
-    The power normalization is recomputed from the supplied arrays, so a
-    fixed realization can be re-sampled under different array geometries.
-    """
-    los = real.los
-    if not real.clusters and not los.present:
-        raise ValueError("realization has no propagation paths")
-    n_rx = arrays.rx.n_elements
-    n_tx = arrays.tx.n_elements
-    gamma = _gain_normalization(n_rx, n_tx, real.total_rays) if real.clusters else 0.0
-
-    def column(name: str, los_value, dtype=float) -> np.ndarray:
-        """Every cluster's per-ray ``name`` field, then the direct path's value."""
-        parts = [getattr(c, name) for c in real.clusters]
-        if los.present:
-            parts.append([los_value])
-        return np.concatenate(parts).astype(dtype)
-
-    angles = RayAngles(
-        **{f.name: column(f.name, getattr(los.angles, f.name)) for f in fields(RayAngles)}
-    )
-    amplitude = np.full(len(angles.aod_azimuth), gamma)
-    if los.present:
-        amplitude[-1] = np.sqrt(n_rx * n_tx)
-    attenuation_db = column("attenuation_db", los.attenuation_db)
-    return _PathTable(
-        static_scale=amplitude * 10.0 ** (attenuation_db / 20.0),
-        base_gain=column("gains", np.exp(1j * los.phase), np.complex128),
-        tau_rel=column("delays", los.delay) - los.delay,
-        angles=angles,
-        los_index=len(amplitude) - 1 if los.present else None,
-    )
-
-
-@dataclass(eq=False)
 class _TapPlan:
-    """A drop's paths in delay order, their static weights, and their
-    truncated pulses on consecutive rows of the delay grid.
+    """A drop's paths in delay order and their truncated pulses on
+    consecutive rows of the delay grid.
 
-    Column ``q`` of ``pulse``, ``a_r`` and ``weights`` and row ``q`` of
-    ``a_t`` describe the ``q``-th path by delay, row ``order[q]`` of the path
-    table (a stable sort, so tied paths keep their table order).  Row ``i``
-    is the tap at grid index ``tap_offset + i`` from the direct-path delay.
-    Every path's first and last covered grid rows grow with its delay, so
-    the paths covering row ``i`` are the contiguous columns ``lo[i]:hi[i]``
-    (empty for a row no path covers).
+    Entry ``q`` of every per-path array (column ``q`` of ``pulse`` and
+    ``a_r``, row ``q`` of ``a_t``) describes the ``q``-th path by delay, in a
+    stable sort of the realization's paths (cluster by cluster, ray by ray,
+    the direct path last), so tied paths keep that order; ``los`` is the
+    direct path's column, ``None`` when it is blocked.  ``static_scale`` is
+    a path's deterministic amplitude (normalization times attenuation),
+    ``base_gain`` its unit-variance gain (``alpha`` per scattered ray,
+    ``exp(j*phase)`` for the direct path) and ``weights`` their product,
+    snapshot 0 of any evolution.  Row ``i`` is the tap at grid index
+    ``tap_offset + i`` from the direct-path delay.  Every path's first and
+    last covered grid rows grow with its delay, so the paths covering row
+    ``i`` are the contiguous columns ``lo[i]:hi[i]`` (empty for a row no path
+    covers).
     """
 
-    pulse: np.ndarray    # (rows, paths) truncated pulse, zero outside support
-    lo: np.ndarray       # (rows,) first column covering each row
-    hi: np.ndarray       # (rows,) one past the last column covering it
-    a_r: np.ndarray      # (N_R, paths) receive steering vectors as columns
-    a_t: np.ndarray      # (paths, N_T) conjugated transmit steering vectors
-    order: np.ndarray    # (paths,) table row of each column
-    weights: np.ndarray  # (paths,) static weights: snapshot 0 of any evolution
+    pulse: np.ndarray         # (rows, paths) truncated pulse, zero outside support
+    lo: np.ndarray            # (rows,) first column covering each row
+    hi: np.ndarray            # (rows,) one past the last column covering it
+    a_r: np.ndarray           # (N_R, paths) receive steering vectors as columns
+    a_t: np.ndarray           # (paths, N_T) conjugated transmit steering vectors
+    static_scale: np.ndarray  # (paths,) real
+    base_gain: np.ndarray     # (paths,) complex
+    weights: np.ndarray       # (paths,) static_scale * base_gain
+    angles: RayAngles         # (paths,) arrays
+    los: int | None
     tap_offset: int
     sample_period: float
 
@@ -344,15 +297,41 @@ class _TapPlan:
 
 
 def _lay_paths(
-    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, oversampling: int
+    real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, oversampling: int
 ) -> _TapPlan:
-    """Sort the paths by delay, the one reordering of a drop, and lay their
-    truncated pulses on the grid covering every path's support; the plan
-    holds the static weights, and the steering matrices built from the
-    sorted angles, in delay order."""
+    """Flatten a realization, stable-sort its paths by delay (the one
+    reordering of a drop) and lay their truncated pulses on the grid covering
+    every path's support.  The power normalization is recomputed from the
+    supplied arrays, so a fixed realization can be re-sampled under different
+    array geometries."""
     check("oversampling", oversampling, COUNT, integer=True)
-    order = np.argsort(table.tau_rel, kind="stable")
-    tau = table.tau_rel[order]
+    los = real.los
+    if not real.clusters and not los.present:
+        raise ValueError("realization has no propagation paths")
+    n_rx = arrays.rx.n_elements
+    n_tx = arrays.tx.n_elements
+    gamma = _gain_normalization(n_rx, n_tx, real.total_rays) if real.clusters else 0.0
+
+    def column(name: str, los_value, dtype=float) -> np.ndarray:
+        """Every cluster's per-ray ``name`` field, then the direct path's value."""
+        parts = [getattr(c, name) for c in real.clusters]
+        if los.present:
+            parts.append([los_value])
+        return np.concatenate(parts).astype(dtype)
+
+    tau = column("delays", los.delay) - los.delay
+    order = np.argsort(tau, kind="stable")
+    tau = tau[order]
+    angles = RayAngles(**{
+        f.name: column(f.name, getattr(los.angles, f.name))[order] for f in fields(RayAngles)
+    })
+    amplitude = np.full(len(tau), gamma)
+    los_column = int(np.argmax(order == len(tau) - 1)) if los.present else None
+    if los_column is not None:
+        amplitude[los_column] = np.sqrt(n_rx * n_tx)
+    static_scale = amplitude * 10.0 ** (column("attenuation_db", los.attenuation_db)[order] / 20.0)
+    base_gain = column("gains", np.exp(1j * los.phase), np.complex128)[order]
+
     dt = spec.symbol_period / oversampling
     half_t = spec.truncation_half_length * spec.symbol_period
     starts = np.ceil((tau - half_t) / dt).astype(int)
@@ -361,17 +340,19 @@ def _lay_paths(
     row, col = np.nonzero((n[:, None] >= starts) & (n[:, None] <= stops))
     pulse = np.zeros((len(n), len(tau)))
     pulse[row, col] = end_to_end_pulse(spec, n[row] * dt - tau[col])
-    ang = table.angles
-    a_r = steering_vector(arrays.rx, ang.aoa_azimuth[order], ang.aoa_elevation[order])
-    a_t = steering_vector(arrays.tx, ang.aod_azimuth[order], ang.aod_elevation[order])
+    a_r = steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation)
+    a_t = steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation)
     return _TapPlan(
         pulse=pulse,
         lo=np.searchsorted(stops, n, side="left"),
         hi=np.searchsorted(starts, n, side="right"),
         a_r=np.ascontiguousarray(a_r.T),
         a_t=a_t.conj(),
-        order=order,
-        weights=(table.static_scale * table.base_gain)[order],
+        static_scale=static_scale,
+        base_gain=base_gain,
+        weights=static_scale * base_gain,
+        angles=angles,
+        los=los_column,
         tap_offset=int(n[0]),
         sample_period=dt,
     )
@@ -446,13 +427,14 @@ def _select_window(energy: np.ndarray, energy_threshold: float) -> tuple[int, in
 
 
 def _plan_taps(
-    table: _PathTable, arrays: ArrayPair, spec: PulseSpec, energy_threshold: float,
+    real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, energy_threshold: float,
     oversampling: int,
 ) -> _TapPlan:
-    """Lay ``table`` on its delay grid and keep the leftmost shortest window
-    of rows holding >= (1 - energy_threshold) of the energy under the static
-    weights, the one window static and time-variant renders share."""
-    plan = _lay_paths(table, arrays, spec, oversampling)
+    """Lay ``real``'s paths on their delay grid and keep the leftmost
+    shortest window of rows holding >= (1 - energy_threshold) of the energy
+    under the static weights, the one window static and time-variant renders
+    share."""
+    plan = _lay_paths(real, arrays, spec, oversampling)
     start, width = _select_window(_row_energies(plan, plan.weights), energy_threshold)
     return plan.rows(start, start + width)
 
@@ -472,7 +454,7 @@ def sample_channel(
     holding at least ``1 - energy_threshold`` of the energy is chosen first,
     and only that window is rendered.
     """
-    plan = _plan_taps(_path_table(real, arrays), arrays, spec, energy_threshold, oversampling)
+    plan = _plan_taps(real, arrays, spec, energy_threshold, oversampling)
     return SampledChannel(
         taps=_render_taps(plan, plan.weights),
         sample_period=plan.sample_period,

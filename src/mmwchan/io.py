@@ -26,7 +26,7 @@ import numpy as np
 
 from ._bounds import COUNT, POSITIVE, check
 from .channel import ChannelRealization, ClusterRealization, LosComponent, SampledChannel
-from .geometry import LinkGeometry, RayAngles
+from .geometry import SPEED_OF_LIGHT, LinkGeometry, RayAngles
 from .timevariant import TimeVariantChannel
 
 __all__ = [
@@ -232,10 +232,18 @@ def realization_to_dict(real: ChannelRealization) -> dict:
     }
 
 
+def _check_delays(where: str, delays, path_lengths) -> None:
+    """Each delay must be its path length over c within 1e-9 relative."""
+    expected = np.asarray(path_lengths) / SPEED_OF_LIGHT
+    if np.any(np.abs(delays - expected) > 1e-9 * np.abs(expected)):
+        raise ValueError(f"{where}: key 'delay_s' differs from path_length_m / c")
+
+
 def realization_from_dict(data: dict) -> ChannelRealization:
     """Inverse of :func:`realization_to_dict`.  A missing key, a value of the
     wrong JSON kind or range, per-ray arrays that are empty or of unequal
-    length, or no path at all raise ValueError naming the key or cluster."""
+    length, delays that are not path lengths over c, or no path at all raise
+    ValueError naming the key or cluster."""
     clusters = []
     for index, c in enumerate(_get(data, "clusters", "a list of objects")):
         per_ray = _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}, "a list of numbers")
@@ -245,6 +253,7 @@ def realization_from_dict(data: dict) -> ChannelRealization:
             raise ValueError(f"cluster {index}: per-ray arrays differ in length")
         if shapes == {(0,)}:
             raise ValueError(f"cluster {index}: no rays")
+        _check_delays(f"cluster {index}", rays["delays"], rays["path_lengths"])
         rays["gains"] = rays.pop("real") + 1j * rays.pop("imag")
         rays["mean_angles"] = RayAngles(**_decode(_get(c, "mean", "an object"), _ANGLE_KEYS))
         clusters.append(ClusterRealization(**_decode(c, _CLUSTER_KEYS), **rays))
@@ -256,6 +265,7 @@ def realization_from_dict(data: dict) -> ChannelRealization:
         los=LosComponent(**_decode(los, _LOS_KEYS), angles=RayAngles(**_decode(los, _ANGLE_KEYS))),
     )
     check("carrier_frequency_hz", real.carrier_frequency, POSITIVE)
+    _check_delays("los", real.los.delay, real.los.path_length)
     check("paths (rays of clusters, and los if present)", len(clusters) + los["present"], COUNT)
     return real
 

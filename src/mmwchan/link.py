@@ -202,14 +202,9 @@ def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 #: Largest stacked dimension P*M solved by LU on the assembled covariance;
-#: longer windows run :func:`_block_levinson`.  Set at the measured
-#: crossover: over the drops with 128 <= P*M < 832 among 200 drops each at
-#: the defaults (M=4), M=8/50 m and M=8/10 m (2-core x86-64 VM, numpy 2.4
-#: with OpenBLAS 0.3.31 on 2 threads), the median time ratio of Levinson to
-#: LU was 1.09-1.10 for P*M in [320, 384), 0.88-0.98 in [384, 448), and
-#: 0.46-0.63 near 768.  Only M=4 and 8 were measured: at M=1 and 2, LU stays
-#: faster up to P*M ~ 512-768, and such windows do cross 384 (longest P over
-#: 500 default drops: 187-193 at 50 m, 382-385 at 100 m).
+#: longer windows run :func:`_block_levinson`.  Set where Levinson became
+#: the faster solve at M=4 and 8 (``BENCH_16.json`` holds the per-bin time
+#: ratios); at M=1 and 2, LU stays faster beyond it.
 LU_MAX_DIM = 384
 
 

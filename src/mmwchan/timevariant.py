@@ -6,17 +6,18 @@ Doppler frequency.  The direct path keeps unit gain magnitude; only its
 phase wanders.
 
 One iterator, :meth:`SnapshotStream.chunks`, renders the snapshots in time
-order, chunk by chunk: into the array :func:`evolve_channel` returns, or into
-one reused buffer of :data:`CHUNK_BYTES` that ``generate-dynamic`` writes
-out before rendering the next chunk.  The tap window is chosen from snapshot
-0 before anything is drawn, as for static sampling; each chunk continues the
-gains' AR(1) draws from the last chunk's state, step by step, each step along
-the path table in realization order.  So peak memory does not depend on the
-snapshot count beyond that buffer and the drop's tap plan, and as each tap's
-product sees the same path range, pulse row and weights whichever chunk runs
-it, neither do the bits depend on the chunk size.  Snapshot 0 reproduces the
-static channel bit for bit, and so does every snapshot in the static limit
-(zero velocity, coefficient 1); see :func:`mmwchan.channel._render_taps`.
+order, chunk by chunk: into the array :func:`evolve_channel` returns, or
+into one reused buffer of :data:`CHUNK_BYTES` that ``generate-dynamic``
+writes out before rendering the next chunk.  The tap window is chosen from
+snapshot 0 before anything is drawn, as for static sampling; each chunk
+continues the gains' AR(1) draws from the last chunk's state, step by step,
+each step along the drop's paths in delay order, the tap plan's.  So peak
+memory does not depend on the snapshot count beyond that buffer and the
+drop's tap plan, and as each tap's product sees the same path range, pulse
+row and weights whichever chunk runs it, neither do the bits depend on the
+chunk size.  Snapshot 0 reproduces the static channel bit for bit, and so
+does every snapshot in the static limit (zero velocity, coefficient 1); see
+:func:`mmwchan.channel._render_taps`.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import numpy as np
 
 from ._bounds import COUNT, FINITE, POSITIVE, UNIT_CLOSED_OR_AUTO, admissible, check_fields
 from .arrays import ArrayPair
-from .channel import (
-    DEFAULT_ENERGY_THRESHOLD,
-    ChannelRealization,
-    _path_table,
-    _plan_taps,
-    _render_taps,
-)
+from .channel import DEFAULT_ENERGY_THRESHOLD, ChannelRealization, _plan_taps, _render_taps
 from .geometry import SPEED_OF_LIGHT, RayAngles
 from .pulse import PulseSpec
 from .sampling import ar1_complex_sequence
@@ -124,9 +119,8 @@ class SnapshotStream:
         self._rho = mob.gain_correlation
         if self._rho is None:
             self._rho = default_gain_correlation(mob, real.carrier_frequency)
-        self._table = _path_table(real, arrays)
-        self._plan = _plan_taps(self._table, arrays, spec, energy_threshold, oversampling)
-        self._nu = doppler_shift(self._table.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
+        self._plan = _plan_taps(real, arrays, spec, energy_threshold, oversampling)
+        self._nu = doppler_shift(self._plan.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
         self._rng, self._mob = rng, mob
         self.shape = (mob.n_snapshots, *self._plan.shape)
         self.sample_period, self.tap_offset = self._plan.sample_period, self._plan.tap_offset
@@ -142,26 +136,26 @@ class SnapshotStream:
         exp(j*phase), lies; not when frozen: z / |z| is not bitwise z, and the
         frozen limit must equal the static taps bitwise.  Then each path
         rotates at its Doppler frequency and takes its static scale."""
-        table, plan, rho = self._table, self._plan, self._rho
+        plan, rho = self._plan, self._rho
         n_snap, *snapshot = self.shape
-        per_snapshot = 16 * max(int(np.prod(snapshot)), 8 * len(plan.order))
+        per_snapshot = 16 * max(int(np.prod(snapshot)), 8 * len(plan.weights))
         per_chunk = min(max(1, CHUNK_BYTES // per_snapshot), n_snap)
         buffer = np.empty((per_chunk, *snapshot), dtype=np.complex128) if out is None else None
-        state = table.base_gain
+        state = plan.base_gain
         for start in range(0, n_snap, per_chunk):
             stop = min(start + per_chunk, n_snap)
             # row 0 is snapshot 0 itself, or the last chunk's state
             last = int(start > 0)
             gains = ar1_complex_sequence(rho, stop - start + last, 1.0, self._rng, initial=state)
             state = gains[-1].copy()
-            if table.los_index is not None and rho < 1.0:
-                gains[1:, table.los_index] /= np.abs(gains[1:, table.los_index])
+            if plan.los is not None and rho < 1.0:
+                gains[1:, plan.los] /= np.abs(gains[1:, plan.los])
             weights = gains[last:]
             t = np.arange(start, stop) * self._mob.snapshot_period
             weights *= np.exp(-2j * np.pi * self._nu[None, :] * t[:, None])
-            weights *= table.static_scale
+            weights *= plan.static_scale
             chunk = out[start:stop] if buffer is None else buffer[: stop - start]
-            _render_taps(plan, weights[:, plan.order], out=chunk)
+            _render_taps(plan, weights, out=chunk)
             yield chunk
 
 
@@ -172,8 +166,8 @@ def evolve_channel(
 ) -> TimeVariantChannel:
     """Render a realization as a sequence of tap-tensor snapshots: the chunks
     of :class:`SnapshotStream`, rendered into the returned array.  Per-path
-    AR(1) innovations are drawn snapshot by snapshot, each step in path order
-    (direct path last); nothing is drawn at coefficient 1.  The tap window,
+    AR(1) innovations are drawn snapshot by snapshot, each step along the paths
+    in delay order; nothing is drawn at coefficient 1.  The tap window,
     chosen from snapshot 0, is shared by all snapshots; snapshot 0 equals the
     static sampling of the same realization."""
     stream = SnapshotStream(real, arrays, spec, mob, rng, energy_threshold, oversampling)

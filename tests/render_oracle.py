@@ -3,10 +3,11 @@
 This is the straightforward loop form of tap rendering: one ``np.kron``
 steering vector and one N_R x N_T outer product per ray, added onto the
 delay grid path by path, and one scalar AR(1) recursion per path for the
-snapshot gains, on innovations drawn snapshot by snapshot; the tap window is
-searched width by width.  The library renders the same quantities as stacked
-per-tap products and finds the window with a two-pointer scan; the tests
-compare the two on seeded drops.
+snapshot gains, on innovations drawn snapshot by snapshot, each step's draws
+going to the paths in (stable) delay order; the tap window is searched width
+by width.  The library renders the same quantities as stacked per-tap
+products and finds the window with a two-pointer scan; the tests compare the
+two on seeded drops.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def sample_channel(real, arrays, spec, energy_threshold=1e-4, oversampling=1):
 def evolve_channel(real, arrays, spec, mob, rng, energy_threshold=1e-4, oversampling=1):
     """Snapshot sequence from one scalar AR(1) recursion per path and one
     full-grid assembly per snapshot.  The innovations are drawn for all paths
-    at once, snapshot by snapshot, real parts then imaginary parts; none at
+    at once, snapshot by snapshot, real parts then imaginary parts, draw
+    column q going to the q-th path by stable delay rank; none at
     coefficient 1."""
     rho = mob.gain_correlation
     if rho is None:
@@ -141,7 +143,9 @@ def evolve_channel(real, arrays, spec, mob, rng, energy_threshold=1e-4, oversamp
     gains[0] = table["base_gain"]
     if rho < 1.0:
         z = rng.standard_normal((n_snap - 1, 2, n_paths))
-        innovations = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        innovations = np.empty((n_snap - 1, n_paths), dtype=np.complex128)
+        rank = sorted(range(n_paths), key=lambda p: (table["tau_rel"][p], p))
+        innovations[:, rank] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
         for p in range(n_paths):
             for k in range(1, n_snap):
                 gains[k, p] = rho * gains[k - 1, p] + np.sqrt(1.0 - rho**2) * innovations[k - 1, p]

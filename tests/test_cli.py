@@ -18,7 +18,7 @@ from mmwchan import (
     sample_channel,
     timevariant,
 )
-from mmwchan.channel import _lay_paths, _path_table
+from mmwchan.channel import _lay_paths
 from mmwchan.cli import EVOLUTION_STREAM, REALIZATION_STREAM, main
 from mmwchan.io import (
     read_cdf_csv,
@@ -145,7 +145,8 @@ def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapsh
         )
         write_dynamic_channel(tmp_path / "memory.mmwc", channel)
         expected = (tmp_path / "memory.mmwc").read_bytes()
-        weight_bytes = 8 * 16 * len(_path_table(real, config.arrays()).tau_rel)
+        plan = _lay_paths(real, config.arrays(), config.pulse(), config.oversampling)
+        weight_bytes = 8 * 16 * len(plan.weights)
         assert (weight_bytes > channel.snapshots[0].nbytes) == bool(arrays)
         # one snapshot per chunk, five (dividing none of 2, 9, 64 and none of
         # 1, 8, 63) and more than the whole tensor
@@ -188,8 +189,8 @@ def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
 def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
     """Snapshots stream through one chunk buffer, their weights drawn chunk
     by chunk: the peak traced allocation stays below three chunks plus the
-    size of one snapshot on the full grid, a margin for the plan (path
-    table, full-grid tap plan and the row energies that select the tap
+    size of one snapshot on the full grid, a margin for the plan (the
+    full-grid tap plan and the row energies that select the tap
     window).  At 20 x 30 arrays the whole tensor of 256 snapshots is 81 MB;
     at 1 x 1 arrays the weights of 32768 snapshots of a 173-path drop would
     be 91 MB."""
@@ -199,8 +200,7 @@ def test_generate_dynamic_memory_does_not_grow_with_snapshots(tmp_path):
     ):
         config = parse_config(None, {k: str(v) for k, v in overrides.items()})
         real = realize_channel(config, RngStream(config.seed, REALIZATION_STREAM).generator())
-        table = _path_table(real, config.arrays())
-        plan = _lay_paths(table, config.arrays(), config.pulse(), config.oversampling)
+        plan = _lay_paths(real, config.arrays(), config.pulse(), config.oversampling)
         full_grid_bytes = int(np.prod(plan.shape)) * 16
         out = tmp_path / "seq.mmwc"
         tracemalloc.start()

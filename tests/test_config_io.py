@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import json
+import re
 import struct
 
 import numpy as np
@@ -88,10 +89,22 @@ def test_parse_config_unknown_key_named(tmp_path):
         parse_config(None, {"does_not_exist": "1"})
 
 
-def test_parse_config_bad_value_named(tmp_path):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("distance_m = twelve", "key 'distance_m': expected a number, got 'twelve'"),
+        (
+            "shadow_per_cluster = maybe",
+            "key 'shadow_per_cluster': expected a boolean, got 'maybe'",
+        ),
+        ("n_trials = 2.5", "key 'n_trials': expected an integer, got '2.5'"),
+    ],
+    ids=["number", "boolean", "integer"],
+)
+def test_parse_config_bad_value_named(tmp_path, line, message):
     path = tmp_path / "run.cfg"
-    path.write_text("distance_m = twelve\n")
-    with pytest.raises(ValueError, match="distance_m"):
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_config(path)
 
 
@@ -417,10 +430,12 @@ def _no_paths(realization):
         (_no_rays, "cluster 0: no rays"),
         (_no_paths, "paths .*clusters.* must be .* in \\[1, inf\\), got 0"),
         (lambda r: r.update(carrier_frequency_hz=0), "carrier_frequency_hz must be .* got 0"),
+        (lambda r: r["clusters"][0]["delay_s"].__setitem__(0, -1e-3), "cluster 0: key 'delay_s'"),
+        (lambda r: r["los"].update(delay_s=r["los"]["delay_s"] * 1.01), "los: key 'delay_s'"),
     ],
     ids=[
         "los-key", "mean-key", "geometry-key", "short-delays", "long-gains", "no-rays",
-        "no-paths", "zero-carrier",
+        "no-paths", "zero-carrier", "delay-inconsistent", "los-delay-inconsistent",
     ],
 )
 def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):

@@ -376,10 +376,9 @@ def _render_taps(plan: _TapPlan, weights: np.ndarray, out: np.ndarray | None = N
     render chunks of snapshots one after another with the bits of one call.
     (A render folded into one (S x K) @ (K x N_R N_T) product would not:
     numpy hands its one-snapshot case to ``gemv`` and the stacked case to
-    ``gemm``, which round differently.)  Each product is N_R * N_T * K
-    multiply-adds; numpy's OpenBLAS (0.3.31, 2 cores) threads complex ones
-    from ~6.5e4, so at 20 x 30 arrays a row covered by more than ~109 paths
-    can render with bits that depend on the BLAS thread count.
+    ``gemm``, which round differently.)  OpenBLAS threads products above a
+    size its build fixes, so a row covered by many paths can render with
+    bits that depend on the BLAS thread count (README, on determinism).
     """
     weights = np.ascontiguousarray(weights)  # numpy rounds strided operands differently
     if out is None:

@@ -10,6 +10,7 @@ snapshot spacing, gain correlation).
 
 from __future__ import annotations
 
+import functools
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -44,6 +45,20 @@ def thermal_noise_variance(
     check("noise_figure_db", noise_figure_db, FINITE)
     check("temperature_k", temperature_k, POSITIVE)
     return _BOLTZMANN * temperature_k * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
+
+
+def _once(method):
+    """A derived value built on the first call and kept in the instance,
+    outside the fields that equality, ``replace`` and ``asdict`` see."""
+    name = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def built(self):
+        if name not in self.__dict__:
+            self.__dict__[name] = method(self)
+        return self.__dict__[name]
+
+    return built
 
 
 @dataclass(frozen=True)
@@ -107,15 +122,18 @@ class ScenarioConfig:
         """Symbol period filling the configured bandwidth: (1+rolloff)/W."""
         return (1.0 + self.rolloff) / self.bandwidth_hz
 
+    @_once
     def geometry(self) -> LinkGeometry:
         return LinkGeometry(self.distance_m, self.tx_height_m, self.rx_height_m)
 
+    @_once
     def arrays(self) -> ArrayPair:
         return ArrayPair(
             tx=PlanarArray(self.tx_horizontal, self.tx_vertical, self.spacing_wavelengths),
             rx=PlanarArray(self.rx_horizontal, self.rx_vertical, self.spacing_wavelengths),
         )
 
+    @_once
     def pulse(self) -> PulseSpec:
         return PulseSpec(
             symbol_period=self.symbol_period,
@@ -135,6 +153,7 @@ class ScenarioConfig:
             gain_correlation=self.gain_correlation,
         )
 
+    @_once
     def noise_variance(self) -> float:
         if self.noise_variance_w is not None:
             return self.noise_variance_w

@@ -242,8 +242,9 @@ def _check_delays(where: str, delays, path_lengths) -> None:
 def realization_from_dict(data: dict) -> ChannelRealization:
     """Inverse of :func:`realization_to_dict`.  A missing key, a value of the
     wrong JSON kind or range, per-ray arrays that are empty or of unequal
-    length, delays that are not path lengths over c, or no path at all raise
-    ValueError naming the key or cluster."""
+    length, delays that are not path lengths over c, a ray shorter than the
+    direct path (beyond 1e-9 relative) or no path at all raise ValueError
+    naming the key or cluster."""
     clusters = []
     for index, c in enumerate(_get(data, "clusters", "a list of objects")):
         per_ray = _decode(c, {**_RAY_KEYS, **_GAIN_KEYS}, "a list of numbers")
@@ -266,6 +267,9 @@ def realization_from_dict(data: dict) -> ChannelRealization:
     )
     check("carrier_frequency_hz", real.carrier_frequency, POSITIVE)
     _check_delays("los", real.los.delay, real.los.path_length)
+    for i, c in enumerate(clusters):
+        if np.any(c.path_lengths < real.los.path_length * (1.0 - 1e-9)):
+            raise ValueError(f"cluster {i}: key 'path_length_m' is shorter than the direct path")
     check("paths (rays of clusters, and los if present)", len(clusters) + los["present"], COUNT)
     return real
 

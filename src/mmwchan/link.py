@@ -9,10 +9,11 @@ inter-symbol interference from neighboring transmit vectors as noise.
 Each drop's taps come from :func:`mmwchan.channel.sample_channel`, which
 chooses the tap window from the rows' energies first and renders only the
 window; every linear solve here runs on numpy's own LAPACK.  The stacked
-covariance C is block-Toeplitz in the tap lag.  Short windows assemble it
-and solve by LU; windows with ``P M > LU_MAX_DIM`` (the measured
-crossover) solve by block Levinson recursion on its lags and never form
-the (P M)^2 matrix.
+covariance C is block-Toeplitz in the tap lag.  :func:`_solves_by_lu`
+picks the solver from P and M alone: LU on the assembled C while its
+O((P M)^3) work is the cheaper, else block Levinson recursion on the lags
+of C, which never forms the (P M)^2 matrix.  Both meet the same test
+tolerances; the per-M costs the rule is fitted to are in ``BENCH_23.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._bounds import COUNT, POSITIVE, _Interval, check
 from .channel import SampledChannel, realize_channel, sample_channel
@@ -88,12 +89,13 @@ class StackedModel:
 
 
 def design_beamformers(channel: SampledChannel, n_streams: int) -> BeamformerPair:
-    """SVD beamformers of the strongest tap (Frobenius norm, ties to the
-    smallest index)."""
+    """SVD beamformers of the strongest tap (largest sum of squared
+    magnitudes, ties to the smallest index)."""
     limit = min(channel.n_rx, channel.n_tx)
     check("n_streams", n_streams, _Interval(1, limit, "[]"), integer=True)
-    norms = np.linalg.norm(channel.taps, axis=(1, 2))
-    mu = int(np.argmax(norms))
+    taps = np.ascontiguousarray(channel.taps, dtype=np.complex128)
+    rows = taps.reshape(channel.n_taps, -1).view(np.float64)
+    mu = int(np.argmax(np.einsum("ij,ij->i", rows, rows)))
     u, s, vh = np.linalg.svd(channel.taps[mu], full_matrices=False)
     if s[0] == 0.0 or s[n_streams - 1] <= 1e-12 * s[0]:
         warnings.warn(
@@ -124,23 +126,36 @@ def build_stacked_model(
     )
 
 
+def _shifted_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``S(d) = left[:, dM:] @ right[:(P-d)M]`` for d = 0 .. P-1, as (P, M, M),
+    from an (M, P M) ``left`` and a (P M, M) ``right``: one batched product
+    over shifted windows of ``left`` zero-padded to (M, 2 P M), or, past
+    ``P M^3 = 2^14``, where its doubled multiply-adds cost more than the
+    calls it saves, one product per lag."""
+    m, pm = left.shape
+    p = pm // m
+    if p * m**3 > 2**14:
+        return np.stack([left[:, d * m :] @ right[: (p - d) * m] for d in range(p)])
+    padded = np.zeros((m, 2 * pm), dtype=np.complex128)
+    padded[:, :pm] = left
+    row, item = padded.strides
+    windows = as_strided(padded, (p, m, pm), (m * item, row, item), writeable=False)
+    return np.matmul(windows, right)
+
+
 def _covariance_lags(model: StackedModel, tx_power: float) -> np.ndarray:
     """Block lags of C: (P_T/M) R(d) with R(d) = sum_k G(k) G(k-d)^H, plus
     noise_variance D^H D at lag 0, since B B^H is block diagonal with D^H D
     on every diagonal block.  Returned as (2P-1, M, M) with lag d, for
     d = -(P-1) .. P-1, at index P-1+d.  On the tap-major row view
-    ``W = [G(0) ... G(P-1)]`` each lag d >= 0 is one small product,
-    ``R(d) = W[:, dM:] W[:, :(P-d)M]^H``, and ``R(-d) = R(d)^H``."""
+    ``W = [G(0) ... G(P-1)]``, ``R(d) = W[:, dM:] W[:, :(P-d)M]^H`` for
+    d >= 0 (:func:`_shifted_products`), and ``R(-d) = R(d)^H``."""
     G = model.projected_taps
     p, m = G.shape[0], G.shape[1]
     W = G.transpose(1, 0, 2).reshape(m, p * m)
-    Wh = W.conj().T
     lags = np.empty((2 * p - 1, m, m), dtype=np.complex128)
-    for d in range(p):
-        r = W[:, d * m :] @ Wh[: (p - d) * m]
-        lags[p - 1 + d] = r
-        if d:
-            lags[p - 1 - d] = r.conj().T
+    lags[p - 1 :] = _shifted_products(W, W.conj().T)
+    lags[: p - 1] = lags[: p - 1 : -1].conj().transpose(0, 2, 1)
     lags *= tx_power / m
     lags[p - 1] += model.noise_variance * (model.combiner.conj().T @ model.combiner)
     return lags
@@ -171,17 +186,19 @@ def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     and ``C_n F = [I 0 ... 0]^T``, and ``C_n X = rhs[:n]``.  Padded to n+1
     blocks, ``[0; B]``, ``[F; 0]`` and ``[X; 0]`` are exact except in the
     first and last block rows, where they leave ``Db = sum_j R(-1-j) B_j``,
-    ``Df = sum_j R(n-j) F_j`` and ``T = sum_j R(n-j) X_j``.  With those in
-    ``Q = [[I, Df, T - rhs_n], [Db, I, 0], [0, 0, I]]`` (3M x 3M), the three
-    padded solutions side by side, times ``Q^-1``, are the next B, F and X.
-    A step is one such inverse and products over (n+1) M rows.  A singular
-    leading block or Q raises LinAlgError.
+    ``Df = sum_j R(n-j) F_j`` and ``T = sum_j R(n-j) X_j``.  With
+    ``S = [[I, Df], [Db, I]]``, the next backward predictor is
+    ``B' = [[0; B], [F; 0]] S^-1 [I; 0]``, and then ``F' = [F; 0] - B' Df``
+    and ``X' = [X; 0] - B' (T - rhs_n)``.  A step is one 2M x 2M inverse
+    and products over (n+1) M rows.  A singular leading block or S raises
+    LinAlgError.
     """
     m = lags.shape[1]
     p = (lags.shape[0] + 1) // 2
     # Block rows [R(P-1) ... R(1)] and [R(-1) ... R(-(P-1))]; step n reads
     # the last and the first n blocks.  ``work`` holds [0; B], [F; 0] and
-    # [X; 0] side by side, and ``step`` is Q.
+    # [X; 0] side by side; ``step`` holds [I, Df, T - rhs_n] above
+    # [Db, I, 0], so its first 2M columns are S.
     ahead = lags[p:][::-1].transpose(1, 0, 2).reshape(m, (p - 1) * m)
     behind = lags[: p - 1][::-1].transpose(1, 0, 2).reshape(m, (p - 1) * m)
     work = np.zeros(((p + 1) * m, 3 * m), dtype=np.complex128)
@@ -189,31 +206,43 @@ def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     work[m : 2 * m, :m] = inverse
     work[:m, m : 2 * m] = inverse
     work[:m, 2 * m :] = inverse @ rhs[:m]
-    step = np.eye(3 * m, dtype=np.complex128)
+    step = np.eye(2 * m, 3 * m, dtype=np.complex128)
     for n in range(1, p):
         rows = (n + 1) * m
         np.matmul(ahead[:, (p - 1 - n) * m :], work[: n * m, m:], out=step[:m, m:])
         step[:m, 2 * m :] -= rhs[n * m : rows]
-        np.matmul(behind[:, : n * m], work[m:rows, :m], out=step[m : 2 * m, :m])
-        update = work[:rows] @ np.linalg.inv(step)
-        work[m : rows + m, :m] = update[:, :m]
-        work[:rows, m:] = update[:, m:]
+        np.matmul(behind[:, : n * m], work[m:rows, :m], out=step[m:, :m])
+        backward = work[:rows, : 2 * m] @ np.linalg.inv(step[:, : 2 * m])[:, :m]
+        # One contiguous update of all three columns: the first, [0; B],
+        # gets -B' from the identity block and is then overwritten.
+        work[:rows] -= backward @ step[:m]
+        work[:m, :m] = 0.0
+        work[m : rows + m, :m] = backward
     return work[: p * m, 2 * m :]
 
 
-#: Largest stacked dimension P*M solved by LU on the assembled covariance;
-#: longer windows run :func:`_block_levinson`.  Set where Levinson became
-#: the faster solve at M=4 and 8 (``BENCH_16.json`` holds the per-bin time
-#: ratios); at M=1 and 2, LU stays faster beyond it.
-LU_MAX_DIM = 384
+#: At M = 1, the largest stacked dimension P*M that LU solves; see
+#: :func:`_solves_by_lu`.
+LU_MAX_DIM = 512
+
+
+def _solves_by_lu(p: int, m: int) -> bool:
+    """Whether LU on the assembled C, else block Levinson, solves P taps of
+    M streams: while LU's (P M)^3 work is at most ``LU_MAX_DIM^2 P``, what
+    the call overhead of P Levinson steps costs, or while P <= 32, where
+    the steps' multiply-adds cost more.  Both solvers meet the same test
+    tolerances, so cost alone decides: the rule is fitted to the per-M costs
+    by P M in ``BENCH_23.json``, and the shape alone sets it, so every run
+    agrees."""
+    return p <= 32 or (p * m) ** 2 * m <= LU_MAX_DIM**2
 
 
 def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     """LMMSE estimator E for the stream vector: C^-1 A (P_T/M).
 
     The returned (M P, M) operator estimates s(n) as E^H r_stack.  Windows
-    with ``P M <= LU_MAX_DIM`` assemble C and solve by LU with partial
-    pivoting.  Longer windows solve by block Levinson on the lags of C
+    that :func:`_solves_by_lu` picks assemble C and solve by LU with partial
+    pivoting.  The others solve by block Levinson on the lags of C
     (:func:`_block_levinson`), which never forms C: O(P^2 M^3) time and
     O(P M^2) memory instead of O((P M)^3) and O((P M)^2).  Block Levinson
     is only weakly stable (Bojanczyk, Brent, de Hoog & Sweet 1995): it
@@ -227,7 +256,7 @@ def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     check("tx_power", tx_power, POSITIVE)
     p, m = model.n_taps, model.n_streams
     try:
-        if p * m <= LU_MAX_DIM:
+        if _solves_by_lu(p, m):
             solution = np.linalg.solve(
                 _stacked_covariance(model, tx_power), model.signal_signatures
             )
@@ -247,26 +276,25 @@ def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float)
     ``R = E^H ((P_T/M) A_I A_I^H + noise_variance B B^H) E``.
 
     With E in M x M blocks E_j, the symbol sent d steps away reaches the
-    estimate through ``X(d) = sum_j E_j^H G(j+d)``, one product of block-row
-    slices of E and A per lag: ``E^H A = X(0)`` and ``E^H A_I A_I^H E =
-    X_I X_I^H`` with X_I every X(d), d != 0, side by side.  Valid for any
-    estimator E, not just the LMMSE solution.
+    estimate through ``X(d) = sum_j E_j^H G(j+d)``.  On block-row slices of
+    E and A, ``X(-d) = E^H[:, dM:] A[:(P-d)M]`` and ``X(d)^H =
+    A^H[:, dM:] E[:(P-d)M]`` for d >= 0 (:func:`_shifted_products`):
+    ``E^H A = X(0)`` and ``E^H A_I A_I^H E = sum_{d != 0} X(d) X(d)^H``.
+    Valid for any estimator E, not just the LMMSE solution.
     """
     check("tx_power", tx_power, POSITIVE)
-    G = model.projected_taps
-    p, m = G.shape[0], G.shape[1]
+    p, m = model.n_taps, model.n_streams
     per_stream = tx_power / m
     E = np.asarray(estimator)
     Eh = E.conj().T
     A = model.signal_signatures
 
-    signal = Eh @ A
-    X = np.empty((m, 2 * p - 2, m), dtype=np.complex128)
-    for d in range(1, p):
-        X[:, d - 1] = Eh[:, : (p - d) * m] @ A[d * m :]
-        X[:, p - 2 + d] = Eh[:, d * m :] @ A[: (p - d) * m]
-    X = X.reshape(m, (2 * p - 2) * m)
-    interference = X @ X.conj().T
+    # X(-d) carries the symbol sent d steps later, X(d) the one d earlier.
+    later = _shifted_products(Eh, A)
+    earlier = _shifted_products(A.conj().T, E)[1:].reshape((p - 1) * m, m)
+    signal = later[0]
+    later = later[1:].transpose(1, 0, 2).reshape(m, (p - 1) * m)
+    interference = later @ later.conj().T + earlier.conj().T @ earlier
     dtd = model.combiner.conj().T @ model.combiner
     noise = model.noise_variance * (Eh @ (dtd @ E.reshape(p, m, m)).reshape(p * m, m))
 

@@ -10,6 +10,7 @@ machines, and degrees of trial parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +55,16 @@ class RngStream:
         return RngStream(self.seed, stream_id)
 
 
+@lru_cache(maxsize=8)
 def _poisson_cdf_table(lam: float) -> np.ndarray:
+    """Read-only Poisson CDF, built once per rate for every drop of a run."""
     # Support long enough that the neglected tail mass is ~1e-16.
     k_max = int(np.ceil(lam + 40.0 * np.sqrt(lam) + 20.0))
     k = np.arange(k_max + 1)
     log_pmf = -lam + k * np.log(lam) - np.cumsum(np.concatenate(([0.0], np.log(k[1:]))))
-    return np.cumsum(np.exp(log_pmf))
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf.flags.writeable = False
+    return cdf
 
 
 def sample_cluster_count(lam: float, rng: np.random.Generator, size=None):

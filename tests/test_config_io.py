@@ -419,6 +419,18 @@ def _no_paths(realization):
     realization["los"]["present"] = False
 
 
+def _ray_at(fraction):
+    """Ray 0 of cluster 0 at ``fraction`` of the direct path's length, its
+    delay to match."""
+
+    def edit(realization):
+        cluster, los = realization["clusters"][0], realization["los"]
+        cluster["path_length_m"][0] = los["path_length_m"] * fraction
+        cluster["delay_s"][0] = los["delay_s"] * fraction
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -432,16 +444,24 @@ def _no_paths(realization):
         (lambda r: r.update(carrier_frequency_hz=0), "carrier_frequency_hz must be .* got 0"),
         (lambda r: r["clusters"][0]["delay_s"].__setitem__(0, -1e-3), "cluster 0: key 'delay_s'"),
         (lambda r: r["los"].update(delay_s=r["los"]["delay_s"] * 1.01), "los: key 'delay_s'"),
+        (_ray_at(0.5), "cluster 0: key 'path_length_m' is shorter than the direct path"),
     ],
     ids=[
         "los-key", "mean-key", "geometry-key", "short-delays", "long-gains", "no-rays",
         "no-paths", "zero-carrier", "delay-inconsistent", "los-delay-inconsistent",
+        "ray-shorter-than-direct",
     ],
 )
 def test_malformed_sidecar_names_file_and_key_or_cluster(tmp_path, edit, match):
     path = sidecar_with(tmp_path, edit)
     with pytest.raises(ValueError, match=f"real.json: .*{match}"):
         read_realization_metadata(path)
+
+
+def test_sidecar_ray_as_long_as_the_direct_path_loads(tmp_path):
+    # Round-off below 1e-9 relative is not a shorter path.
+    _, back = read_realization_metadata(sidecar_with(tmp_path, _ray_at(1.0 - 1e-12)))
+    assert back.clusters[0].path_lengths[0] < back.los.path_length
 
 
 def _set(obj, key, value):

@@ -25,6 +25,7 @@ from mmwchan.link import (
     _block_levinson,
     _covariance_lags,
     _single_trial,
+    _solves_by_lu,
     _stacked_covariance,
 )
 
@@ -209,8 +210,11 @@ def test_lmmse_operator_solves_normal_equations():
     rng = np.random.default_rng(9)
     models = [random_stacked_model(rng) for _ in range(10)]
     for m in (1, 2, 4, 8):
-        # P from 1 to past 150, with P*M below, at and just above LU_MAX_DIM.
-        for p in sorted({1, 2, 3, 150, LU_MAX_DIM // m, LU_MAX_DIM // m + 1}):
+        # P from 1 to 150, and the longest window LU solves and one tap more,
+        # which block Levinson solves.
+        longest = max(p for p in range(1, 1024) if _solves_by_lu(p, m))
+        assert not _solves_by_lu(longest + 1, m)
+        for p in sorted({1, 2, 3, 150, longest, longest + 1}):
             models.append(stacked_model(np.random.default_rng(9 + 1000 * m + p), p, m, m + 2))
     tx_power = 1.7
     for model in models:

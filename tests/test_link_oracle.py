@@ -34,6 +34,8 @@ CONFIGS = {
     "defaults": ScenarioConfig(),
     "M8-10m": ScenarioConfig(n_streams=8, distance_m=10.0),
     "50m": ScenarioConfig(distance_m=50.0),
+    "M1-100m": ScenarioConfig(n_streams=1, distance_m=100.0),
+    "M2-100m": ScenarioConfig(n_streams=2, distance_m=100.0),
 }
 
 

@@ -19,12 +19,15 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
   (``n_streams=1``), where a chunk's weights, not its taps, set its length;
 - a 300-drop ``eval-cdf`` with its trial log, at ``--jobs 1`` and ``2``;
 - a serial 100-drop ``eval-cdf`` with its trial log at ``n_streams=8``,
-  ``distance_m=50``, where 35-44 of each seed's 100 drops have windows long
-  enough for the block Levinson solve (8-16 of the 300 at the defaults).
+  ``distance_m=50``, where 47-55 of each seed's 100 drops have windows long
+  enough for the block Levinson solve (52-71 of the 300 at the defaults);
+- the same at ``n_streams=2``, ``distance_m=100``, where M = 2's switch
+  from LU to block Levinson falls inside the drops' window lengths (14-21
+  of each seed's 100 drops take block Levinson).
 
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
-with its serial ones, 150 pairs in all.  Prints each differing pair and an
+with its serial ones, 160 pairs in all.  Prints each differing pair and an
 "N of M differ" line; exits 1 if any pair differs.
 """
 
@@ -67,6 +70,9 @@ RUNS = {
     },
     "cdf-m8-50m": [
         "eval-cdf", "--set", "n_streams=8", "--set", "distance_m=50", "--set", "n_trials=100"
+    ],
+    "cdf-m2-100m": [
+        "eval-cdf", "--set", "n_streams=2", "--set", "distance_m=100", "--set", "n_trials=100"
     ],
 }
 

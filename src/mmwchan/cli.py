@@ -54,24 +54,21 @@ def _load_config(args):
         raise SystemExit(f"configuration error: {err}") from None
 
 
-def _refuse_same_file(args, *outputs: tuple[str, Path | None]) -> None:
-    """Exit when two of a command's files are one path, or, both existing, one
-    file (a hard link): two ``outputs``, given as ``(label, path)`` in writing
-    order (a ``None`` path is not written), or an output and ``--config``,
-    which it would overwrite; the commands call it before any drop runs."""
-    named = [(label, p) for label, p in (("--config", args.config), *outputs) if p is not None]
-    for (first, first_path), (second, second_path) in itertools.combinations(named, 2):
-        a, b = Path(first_path), Path(second_path)
+def _check_outputs(args, *outputs: tuple[str, Path | None]) -> None:
+    """Exit, naming flag and path, when two outputs (``(label, path)`` in
+    writing order; ``None`` is not written), or an output and ``--config``,
+    are one path or, both existing, one file (a hard link); or when an output
+    is a directory or lies in none.  The commands call it before any drop."""
+    named = [(label, p) for label, p in outputs if p is not None]
+    config_file = [("--config", args.config)] if args.config is not None else []
+    for (first, a), (second, b) in itertools.combinations(config_file + named, 2):
         if a.resolve() == b.resolve() or (a.exists() and b.exists() and a.samefile(b)):
-            raise SystemExit(f"{first} {first_path} and {second} {second_path} are the same file")
-
-
-def _metadata_path(args) -> Path:
-    label, path = "--metadata", args.metadata
-    if path is None:
-        label, path = "its default sidecar", Path(args.output).with_suffix(".json")
-    _refuse_same_file(args, ("--output", args.output), (label, path))
-    return path
+            raise SystemExit(f"{first} {a} and {second} {b} are the same file")
+    for label, path in named:
+        if path.is_dir():
+            raise SystemExit(f"{label} {path} is a directory")
+        if not path.parent.is_dir():
+            raise SystemExit(f"{label} {path}: {path.parent} is not a directory")
 
 
 def _run_info(command: str, config, **facts) -> dict:
@@ -80,76 +77,67 @@ def _run_info(command: str, config, **facts) -> dict:
     return {"command": command, "seed": config.seed, "config": asdict(config), **facts}
 
 
-def cmd_generate_static(args) -> int:
-    metadata = _metadata_path(args)
+def _draw_drop(args):
+    """Check the tensor and sidecar paths, load the configuration and
+    realize the drop on :data:`REALIZATION_STREAM`; return the config, the
+    realization and the sidecar path."""
+    label, sidecar = "--metadata", args.metadata
+    if sidecar is None:
+        label, sidecar = "its default sidecar", args.output.with_suffix(".json")
+    _check_outputs(args, ("--output", args.output), (label, sidecar))
     config = _load_config(args)
-    rng = RngStream(config.seed, REALIZATION_STREAM).generator()
-    real = realize_channel(config, rng)
+    real = realize_channel(config, RngStream(config.seed, REALIZATION_STREAM).generator())
+    return config, real, sidecar
+
+
+def _record_drop(args, config, real, sidecar, tensor, shape, **facts) -> None:
+    """Write the sidecar of a drop whose tensor (``tap_offset`` and
+    ``sample_period`` read from ``tensor``; ``shape`` ends in taps, N_R,
+    N_T) is written, and print the command's summary line."""
+    run_info = _run_info(
+        args.command, config, n_taps=shape[-3], tap_offset=tensor.tap_offset,
+        sample_period_s=tensor.sample_period, **facts,
+    )
+    write_realization_metadata(sidecar, real, run_info)
+    print(
+        f"wrote {args.output}: tensor {'x'.join(map(str, shape))}, "
+        f"offset {tensor.tap_offset}, {'LOS' if real.los.present else 'NLOS'}, "
+        f"{real.n_clusters} clusters / {real.total_rays} rays"
+    )
+
+
+def cmd_generate_static(args) -> int:
+    config, real, sidecar = _draw_drop(args)
     channel = sample_channel(
-        real,
-        config.arrays(),
-        config.pulse(),
-        config.energy_threshold,
-        config.oversampling,
+        real, config.arrays(), config.pulse(), config.energy_threshold, config.oversampling
     )
     write_static_channel(args.output, channel)
-    run_info = _run_info(
-        "generate-static",
-        config,
-        stream_id=REALIZATION_STREAM,
-        n_taps=channel.n_taps,
-        tap_offset=channel.tap_offset,
-        sample_period_s=channel.sample_period,
-    )
-    write_realization_metadata(metadata, real, run_info)
-    print(
-        f"wrote {args.output}: {channel.n_taps} taps "
-        f"({channel.n_rx}x{channel.n_tx}), offset {channel.tap_offset}, "
-        f"{'LOS' if real.los.present else 'NLOS'}, "
-        f"{real.n_clusters} clusters / {real.total_rays} rays"
+    _record_drop(
+        args, config, real, sidecar, channel, channel.taps.shape, stream_id=REALIZATION_STREAM
     )
     return 0
 
 
 def cmd_generate_dynamic(args) -> int:
-    """Stream the snapshots to ``--output`` chunk by chunk through one buffer
-    of :data:`mmwchan.timevariant.CHUNK_BYTES`, so peak memory does not
-    depend on the snapshot count.  The file equals
+    """Stream the snapshots to ``--output`` chunk by chunk (see
+    :data:`mmwchan.timevariant.CHUNK_BYTES`); the file equals
     :func:`mmwchan.timevariant.evolve_channel` written by
     :func:`mmwchan.io.write_dynamic_channel`."""
-    metadata = _metadata_path(args)
-    config = _load_config(args)
-    realization_rng = RngStream(config.seed, REALIZATION_STREAM).generator()
-    real = realize_channel(config, realization_rng)
-    evolution_rng = RngStream(config.seed, EVOLUTION_STREAM).generator()
+    config, real, sidecar = _draw_drop(args)
     mob = config.mobility()
     stream = SnapshotStream(
-        real, config.arrays(), config.pulse(), mob, evolution_rng, config.energy_threshold,
+        real, config.arrays(), config.pulse(), mob,
+        RngStream(config.seed, EVOLUTION_STREAM).generator(), config.energy_threshold,
         config.oversampling,
     )
     write_dynamic_chunks(
         args.output, stream.shape, stream.sample_period, stream.tap_offset,
         mob.snapshot_period, stream.chunks(),
     )
-    n_snapshots, n_taps = stream.shape[:2]
-    run_info = _run_info(
-        "generate-dynamic",
-        config,
-        stream_ids={
-            "realization": REALIZATION_STREAM,
-            "evolution": EVOLUTION_STREAM,
-        },
-        n_snapshots=n_snapshots,
-        snapshot_period_s=mob.snapshot_period,
-        n_taps=n_taps,
-        tap_offset=stream.tap_offset,
-        sample_period_s=stream.sample_period,
-    )
-    write_realization_metadata(metadata, real, run_info)
-    print(
-        f"wrote {args.output}: {n_snapshots} snapshots x "
-        f"{n_taps} taps, offset {stream.tap_offset}, "
-        f"{'LOS' if real.los.present else 'NLOS'}"
+    _record_drop(
+        args, config, real, sidecar, stream, stream.shape,
+        stream_ids={"realization": REALIZATION_STREAM, "evolution": EVOLUTION_STREAM},
+        n_snapshots=stream.shape[0], snapshot_period_s=mob.snapshot_period,
     )
     return 0
 
@@ -157,7 +145,7 @@ def cmd_generate_dynamic(args) -> int:
 def cmd_eval_cdf(args) -> int:
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be an integer >= 1, got {args.jobs}")
-    _refuse_same_file(args, ("--output", args.output), ("--trial-log", args.trial_log))
+    _check_outputs(args, ("--output", args.output), ("--trial-log", args.trial_log))
     config = _load_config(args)
     result = run_cdf_experiment(config, n_jobs=args.jobs)
     write_cdf_csv(args.output, result.spectral_efficiency, result.cdf)

@@ -163,6 +163,39 @@ def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapsh
             assert run["snapshot_period_s"] == channel.snapshot_period
 
 
+STATIC_RUN_KEYS = {
+    "command", "seed", "config", "stream_id", "n_taps", "tap_offset", "sample_period_s"
+}
+DYNAMIC_RUN_KEYS = STATIC_RUN_KEYS - {"stream_id"} | {
+    "stream_ids", "n_snapshots", "snapshot_period_s"
+}
+
+
+def test_generate_commands_share_summary_line_and_run_record(tmp_path, capsys):
+    """Both commands print one summary line (tensor shape, offset, LOS or
+    NLOS, clusters / rays) and record the same run facts, the dynamic one
+    with its snapshot facts in place of the one stream id."""
+    config = ScenarioConfig(seed=3)
+    real = realize_channel(config, RngStream(3, REALIZATION_STREAM).generator())
+    channel = sample_channel(real, config.arrays(), config.pulse())
+    offset, state = channel.tap_offset, "LOS" if real.los.present else "NLOS"
+    for command, shape, keys in (
+        ("generate-static", channel.taps.shape, STATIC_RUN_KEYS),
+        ("generate-dynamic", (4, *channel.taps.shape), DYNAMIC_RUN_KEYS),
+    ):
+        out = tmp_path / f"{command}.mmwc"
+        run_cli(command, "--set", "seed=3", "--set", "n_snapshots=4", "--output", out)
+        assert capsys.readouterr().out == (
+            f"wrote {out}: tensor {'x'.join(map(str, shape))}, offset {offset}, {state}, "
+            f"{real.n_clusters} clusters / {real.total_rays} rays\n"
+        )
+        run, _ = read_realization_metadata(out.with_suffix(".json"))
+        assert set(run) == keys
+        assert (run["command"], run["n_taps"], run["tap_offset"]) == (
+            command, channel.n_taps, offset
+        )
+
+
 def test_failed_render_leaves_no_partial_tensor(tmp_path, monkeypatch):
     path = tmp_path / "seq.mmwc"
     render = timevariant._render_taps
@@ -315,6 +348,34 @@ def test_no_output_overwrites_the_config_file(
         run_cli(command, "--config", config, *argv)
     assert config.read_bytes() == before
     assert {f.name for f in tmp_path.iterdir()} == {config_name, target}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("generate-static", "--output"),
+        ("generate-static", "--metadata"),
+        ("generate-dynamic", "--output"),
+        ("generate-dynamic", "--metadata"),
+        ("eval-cdf", "--output"),
+        ("eval-cdf", "--trial-log"),
+    ],
+)
+def test_unusable_output_location_exits_before_any_drop(tmp_path, command, flag):
+    """An output that is a directory, or whose directory does not exist,
+    stops the command before any drop runs, naming the flag and the path;
+    no file is written."""
+    (tmp_path / "adir").mkdir()
+    for target, message in (
+        ("missing/x.out", r"missing/x\.out: .*missing is not a directory$"),
+        ("adir", r"adir is a directory$"),
+    ):
+        argv = [flag, tmp_path / target]
+        if flag != "--output":
+            argv += ["--output", tmp_path / "out.bin"]
+        with pytest.raises(SystemExit, match=rf"^{flag} .*{message}"):
+            run_cli(command, "--set", "n_trials=2", "--set", "n_snapshots=2", *argv)
+        assert [f.name for f in tmp_path.rglob("*")] == ["adir"]
 
 
 def test_malformed_set_argument_exits(tmp_path):

@@ -99,3 +99,19 @@ def test_rate_matches_oracle_for_any_estimator():
         got = achievable_rate(model, E, config.tx_power_w)
         want = oracle.achievable_rate(model, E, config.tx_power_w)
         assert got == pytest.approx(want, rel=RATE_RTOL, abs=1e-12), trial
+
+
+def test_singular_interference_plus_noise_is_regularized():
+    """An estimator with a zero column makes the interference-plus-noise
+    matrix exactly singular: the rate warns, regularizes, and still agrees
+    with the oracle's regularized rate."""
+    config = CONFIGS["defaults"]
+    for trial, channel, pair in _drops(config, 3):
+        model = build_stacked_model(channel, pair, config.noise_variance())
+        E = lmmse_operator(model, config.tx_power_w)
+        E[:, 0] = 0.0
+        with pytest.warns(RuntimeWarning, match="singular; regularizing"):
+            got = achievable_rate(model, E, config.tx_power_w)
+        with pytest.warns(RuntimeWarning, match="singular; regularizing"):
+            want = oracle.achievable_rate(model, E, config.tx_power_w)
+        assert got == pytest.approx(want, rel=RATE_RTOL, abs=1e-12), trial

@@ -131,6 +131,12 @@ def test_path_loss_frequency_correction_steepens_slope():
     assert effective == pytest.approx(3.5759636363636335, abs=1e-6)
 
 
+def test_path_loss_sloped_fit_needs_reference_frequency():
+    params = PathLossParams(2.0, 3.0, frequency_slope=0.1)
+    with pytest.raises(ValueError, match="reference frequency"):
+        path_loss_db(10.0, WAVELENGTH_73GHZ, params)
+
+
 def test_shadow_fading_enters_in_db():
     params = PathLossParams(exponent=2.0, shadow_std_db=4.0)
     base = path_loss_db(10.0, WAVELENGTH_73GHZ, params)

@@ -87,6 +87,12 @@ def test_ray_count_covers_full_range():
     assert np.all(np.abs(hist / rays.size - 1.0 / 30.0) < 0.002)
 
 
+def test_ray_count_without_size_is_an_int():
+    count = sample_ray_count(np.random.default_rng(11))
+    assert type(count) is int
+    assert 1 <= count <= 30
+
+
 def test_laplacian_moments():
     rng = np.random.default_rng(5)
     std = np.deg2rad(5.0)

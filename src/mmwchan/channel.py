@@ -19,7 +19,9 @@ that range only: one small matrix product per tap.  A tap's value never
 depends on which other taps, or which other weight sets, are rendered with
 it, so the window is chosen first (:func:`_plan_taps`), from each tap's
 energy as a Hermitian form in the path Gram, and kept as a slice of the
-plan's rows; only its taps are rendered.
+plan's rows, which a :class:`SampledChannel` holds: it renders its taps on
+first access, and the link reads the plan instead, so ``eval-cdf`` renders
+only the strongest tap.
 """
 
 from __future__ import annotations
@@ -127,30 +129,66 @@ class ChannelRealization:
         return sum(c.n_rays for c in self.clusters)
 
 
-@dataclass(eq=False)
 class SampledChannel:
     """Tap tensor on a uniform delay grid.
 
     ``taps[l]`` is the N_R x N_T matrix at delay
     ``(tap_offset + l) * sample_period`` measured from the direct-path
     delay; ``tap_offset`` may be negative because the pulse is acausal.
+    A channel from :func:`sample_channel` holds its window's tap plan and
+    renders ``taps``, read-only, on first access, to the bits of a render
+    of the whole window; its shape is known without rendering.
     """
 
-    taps: np.ndarray
-    sample_period: float
-    tap_offset: int
+    def __init__(self, taps: np.ndarray, sample_period: float, tap_offset: int):
+        self._taps, self._plan = taps, None
+        self.sample_period, self.tap_offset = sample_period, tap_offset
+
+    @property
+    def taps(self) -> np.ndarray:
+        if self._taps is None:
+            self._taps = _render_taps(self._plan, self._plan.weights)
+            self._taps.flags.writeable = False  # the link reads the plan, not these
+        return self._taps
 
     @property
     def n_taps(self) -> int:
-        return self.taps.shape[0]
+        return self._shape[0]
 
     @property
     def n_rx(self) -> int:
-        return self.taps.shape[1]
+        return self._shape[1]
 
     @property
     def n_tx(self) -> int:
-        return self.taps.shape[2]
+        return self._shape[2]
+
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return self.taps.shape if self._plan is None else self._plan.shape
+
+    def _strongest(self) -> tuple[int, np.ndarray]:
+        """Index and matrix of the tap with the largest energy, ties to the
+        smallest index: from the plan's row energies, rendering that row
+        alone, else from the taps' sums of squared magnitudes."""
+        if self._plan is not None:
+            mu = int(np.argmax(self._plan.energy))
+            return mu, _render_taps(self._plan.rows(mu, mu + 1), self._plan.weights)[0]
+        rows = np.ascontiguousarray(self.taps, dtype=np.complex128).reshape(self.n_taps, -1)
+        rows = rows.view(np.float64)
+        mu = int(np.argmax(np.einsum("ij,ij->i", rows, rows)))
+        return mu, self.taps[mu]
+
+    def _project(self, combiner: np.ndarray, precoder: np.ndarray) -> np.ndarray:
+        """Every tap projected, ``D^H H(l) Q`` as (P, M, M): from the plan,
+        ``sum_q pulse[l, q] w_q (D^H a_r)_q (a_t Q)_q`` over its paths,
+        without rendering a tap."""
+        dh = combiner.conj().T
+        if self._plan is None:
+            return dh @ self.taps @ precoder
+        plan = self._plan
+        coeff = (plan.pulse * plan.weights)[:, None, :]
+        return ((dh @ plan.a_r)[None] * coeff) @ (plan.a_t @ precoder)
 
 
 def _gain_normalization(n_rx: int, n_tx: int, total_rays: int) -> float:
@@ -284,11 +322,13 @@ class _TapPlan:
     los: int | None
     tap_offset: int
     sample_period: float
+    energy: np.ndarray | None = None  # (rows,) each tap's energy, set by _lay_paths
 
     def rows(self, start: int, stop: int) -> "_TapPlan":
-        """The plan of rows ``start:stop`` only."""
-        return replace(self, pulse=self.pulse[start:stop], lo=self.lo[start:stop],
-                       hi=self.hi[start:stop], tap_offset=self.tap_offset + start)
+        """The plan of rows ``start:stop`` only, its pulse copied off the grid."""
+        return replace(self, pulse=self.pulse[start:stop].copy(), lo=self.lo[start:stop],
+                       hi=self.hi[start:stop], energy=self.energy[start:stop],
+                       tap_offset=self.tap_offset + start)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -342,7 +382,7 @@ def _lay_paths(
     pulse[row, col] = end_to_end_pulse(spec, n[row] * dt - tau[col])
     a_r = steering_vector(arrays.rx, angles.aoa_azimuth, angles.aoa_elevation)
     a_t = steering_vector(arrays.tx, angles.aod_azimuth, angles.aod_elevation)
-    return _TapPlan(
+    plan = _TapPlan(
         pulse=pulse,
         lo=np.searchsorted(stops, n, side="left"),
         hi=np.searchsorted(starts, n, side="right"),
@@ -356,6 +396,8 @@ def _lay_paths(
         tap_offset=int(n[0]),
         sample_period=dt,
     )
+    plan.energy = _row_energies(plan, plan.weights)
+    return plan
 
 
 def _render_taps(plan: _TapPlan, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -434,7 +476,7 @@ def _plan_taps(
     under the static weights, the one window static and time-variant renders
     share."""
     plan = _lay_paths(real, arrays, spec, oversampling)
-    start, width = _select_window(_row_energies(plan, plan.weights), energy_threshold)
+    start, width = _select_window(plan.energy, energy_threshold)
     return plan.rows(start, start + width)
 
 
@@ -445,20 +487,19 @@ def sample_channel(
     energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
     oversampling: int = 1,
 ) -> SampledChannel:
-    """Render a realization onto a uniform tap grid.
+    """Lay a realization on a uniform tap grid.
 
     The delay origin is the direct-path delay (grid index 0), so a present
     direct path lands exactly on a Nyquist-aligned tap.  The grid covers
     every path's truncated pulse support.  Its leftmost shortest window
-    holding at least ``1 - energy_threshold`` of the energy is chosen first,
-    and only that window is rendered.
+    holding at least ``1 - energy_threshold`` of the energy is chosen from
+    the rows' energies; the channel keeps that window's plan and renders
+    ``taps`` on first access, and ``eval-cdf`` only the strongest tap.
     """
     plan = _plan_taps(real, arrays, spec, energy_threshold, oversampling)
-    return SampledChannel(
-        taps=_render_taps(plan, plan.weights),
-        sample_period=plan.sample_period,
-        tap_offset=plan.tap_offset,
-    )
+    channel = SampledChannel(None, plan.sample_period, plan.tap_offset)
+    channel._plan = plan
+    return channel
 
 
 def total_tap_energy(channel: SampledChannel) -> float:

@@ -6,9 +6,11 @@ vectors, stacks a window of P received symbol vectors, and applies the
 LMMSE estimator for the stream vector.  The achievable rate treats
 inter-symbol interference from neighboring transmit vectors as noise.
 
-Each drop's taps come from :func:`mmwchan.channel.sample_channel`, which
-chooses the tap window from the rows' energies first and renders only the
-window; every linear solve here runs on numpy's own LAPACK.  The stacked
+Each drop's channel comes from :func:`mmwchan.channel.sample_channel`,
+which chooses the tap window from the rows' energies and renders nothing;
+the beamformers render the strongest tap alone, and the stacked model
+projects the steering vectors through them, so ``eval-cdf`` renders one tap
+per drop.  Every linear solve here runs on numpy's own LAPACK.  The stacked
 covariance C is block-Toeplitz in the tap lag.  :func:`_solves_by_lu`
 picks the solver from P and M alone: LU on the assembled C while its
 O((P M)^3) work is the cheaper, else block Levinson recursion on the lags
@@ -93,10 +95,8 @@ def design_beamformers(channel: SampledChannel, n_streams: int) -> BeamformerPai
     magnitudes, ties to the smallest index)."""
     limit = min(channel.n_rx, channel.n_tx)
     check("n_streams", n_streams, _Interval(1, limit, "[]"), integer=True)
-    taps = np.ascontiguousarray(channel.taps, dtype=np.complex128)
-    rows = taps.reshape(channel.n_taps, -1).view(np.float64)
-    mu = int(np.argmax(np.einsum("ij,ij->i", rows, rows)))
-    u, s, vh = np.linalg.svd(channel.taps[mu], full_matrices=False)
+    mu, tap = channel._strongest()
+    u, s, vh = np.linalg.svd(tap, full_matrices=False)
     if s[0] == 0.0 or s[n_streams - 1] <= 1e-12 * s[0]:
         warnings.warn(
             f"strongest tap supports fewer than {n_streams} effective streams",
@@ -118,9 +118,8 @@ def build_stacked_model(
 ) -> StackedModel:
     """Project every tap through the beamformers: ``G(l) = D^H H(l) Q``."""
     check("noise_variance", noise_variance, POSITIVE)
-    G = beamformers.combiner.conj().T @ channel.taps @ beamformers.precoder
     return StackedModel(
-        projected_taps=G,
+        projected_taps=channel._project(beamformers.combiner, beamformers.precoder),
         combiner=beamformers.combiner,
         noise_variance=noise_variance,
     )

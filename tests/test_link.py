@@ -10,14 +10,18 @@ import link_oracle
 from conftest import forward_stack_residual, random_stacked_model, stacked_model
 from mmwchan import (
     LinkConfig,
+    RngStream,
     ScenarioConfig,
     achievable_rate,
     build_stacked_model,
     design_beamformers,
     lmmse_operator,
+    realize_channel,
     run_cdf_experiment,
+    sample_channel,
     thermal_noise_variance,
 )
+from mmwchan import channel as channel_module
 from mmwchan.channel import SampledChannel
 from mmwchan.link import (
     LU_MAX_DIM,
@@ -265,6 +269,86 @@ def test_lmmse_operator_does_not_form_a_long_windows_covariance():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+# -- the tap plan behind a sampled channel ---------------------------------
+
+PLAN_CONFIGS = {
+    "defaults": ScenarioConfig(),
+    "M8-50m": ScenarioConfig(n_streams=8, distance_m=50.0),
+}
+
+
+def _sampled_drops(config, n_drops):
+    """Drops ``0 .. n_drops-1`` of ``config`` as ``_single_trial`` samples
+    them, each with its taps-only twin."""
+    for k in range(n_drops):
+        real = realize_channel(config, RngStream(config.seed, k).generator())
+        channel = sample_channel(real, config.arrays(), config.pulse(), config.energy_threshold)
+        yield channel, SampledChannel(channel.taps, channel.sample_period, channel.tap_offset)
+
+
+@pytest.mark.filterwarnings("ignore:strongest tap supports:RuntimeWarning")
+@pytest.mark.parametrize("name", PLAN_CONFIGS)
+def test_plan_channel_beamforms_and_projects_as_its_taps(name):
+    """A sampled channel picks the strongest tap from its plan's row
+    energies and renders that row alone, to the beamformers its rendered
+    taps give bit for bit; its projected taps, taken from the steering
+    vectors, agree with the rendered taps' within round-off.  Its taps are
+    read-only: an edit to them would not reach the link."""
+    config = PLAN_CONFIGS[name]
+    for k, (channel, twin) in enumerate(_sampled_drops(config, 30)):
+        assert not channel.taps.flags.writeable
+        pair = design_beamformers(channel, config.n_streams)
+        want = design_beamformers(twin, config.n_streams)
+        assert pair.tap_index == want.tap_index, k
+        for field_name in ("precoder", "combiner", "singular_values"):
+            assert np.array_equal(getattr(pair, field_name), getattr(want, field_name)), k
+        got = build_stacked_model(channel, pair, 1e-11).projected_taps
+        ref = build_stacked_model(twin, want, 1e-11).projected_taps
+        assert got.shape == ref.shape == (channel.n_taps, config.n_streams, config.n_streams)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.filterwarnings("ignore:strongest tap supports:RuntimeWarning")
+@pytest.mark.parametrize("name", PLAN_CONFIGS)
+def test_single_trial_renders_one_tap_per_drop(name, monkeypatch):
+    """``eval-cdf`` renders only each drop's strongest tap; the window's
+    shape is known without rendering."""
+    rendered = []
+    render = channel_module._render_taps
+
+    def counting_render(plan, weights, out=None):
+        rendered.append(len(plan.pulse) * int(np.prod(np.shape(weights)[:-1])))
+        return render(plan, weights, out)
+
+    monkeypatch.setattr(channel_module, "_render_taps", counting_render)
+    config = PLAN_CONFIGS[name]
+    for k in range(5):
+        rendered.clear()
+        result = _single_trial(config, k)
+        assert rendered == [1], k
+        assert result.n_taps >= 1
+    channel, _ = next(_sampled_drops(config, 1))
+    rendered.clear()
+    assert (channel.n_rx, channel.n_tx) == (config.arrays().rx.n_elements,
+                                            config.arrays().tx.n_elements)
+    assert channel.n_taps >= 1 and rendered == []
+
+
+@pytest.mark.filterwarnings("ignore:strongest tap supports:RuntimeWarning")
+@pytest.mark.parametrize("name", PLAN_CONFIGS)
+def test_public_calls_give_single_trial_rate_bit_for_bit(name):
+    """The five public calls in ``_single_trial``'s order reproduce its rate
+    and tap bit for bit, the contract the benchmark's traced pass checks."""
+    config = PLAN_CONFIGS[name]
+    for k, (channel, _) in enumerate(_sampled_drops(config, 4)):
+        pair = design_beamformers(channel, config.n_streams)
+        model = build_stacked_model(channel, pair, config.noise_variance())
+        estimator = lmmse_operator(model, config.tx_power_w)
+        rate = achievable_rate(model, estimator, config.tx_power_w)
+        want = _single_trial(config, k)
+        assert (rate, pair.tap_index) == (want.rate, want.selected_tap), k
 
 
 # -- achievable rate -------------------------------------------------------

@@ -385,6 +385,7 @@ def test_render_runs_one_small_product_per_covered_tap(name, monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
     static = _sample(config, real)
+    static.taps  # rendered on first access
     start = static.tap_offset - plan.tap_offset
     in_window = covered[start : start + static.n_taps].sum()
     assert sum(products) == in_window

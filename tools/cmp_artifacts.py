@@ -28,12 +28,16 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
 with its serial ones, 160 pairs in all.  Prints each differing pair and an
-"N of M differ" line; exits 1 if any pair differs.
+"N of M differ" line; exits 1 if any pair differs.  A differing pair of
+trial logs also gets a summary: how many trials' ``rate_bits_per_use``
+moved by more than 1e-9 relative, the largest move in bits/use, and how
+many ``selected_tap`` values changed.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -95,6 +99,24 @@ def _run(src: Path, out: Path, seed: int, name: str) -> list[Path]:
     return files
 
 
+#: Relative rate move above which a trial counts as moved.
+RATE_RTOL = 1e-9
+
+
+def _describe_logs(a: Path, b: Path) -> str:
+    """How the trials of two ``eval-cdf`` trial logs differ."""
+    old, new = (json.loads(path.read_text())["trials"] for path in (a, b))
+    if len(old) != len(new):
+        return f"{len(old)} vs {len(new)} trials"
+    moves = [abs(y["rate_bits_per_use"] - x["rate_bits_per_use"]) for x, y in zip(old, new)]
+    moved = sum(
+        move > RATE_RTOL * abs(x["rate_bits_per_use"]) for move, x in zip(moves, old)
+    )
+    taps = sum(x["selected_tap"] != y["selected_tap"] for x, y in zip(old, new))
+    return (f"{moved} of {len(old)} rates moved > {RATE_RTOL:g} relative, "
+            f"largest {max(moves, default=0.0):.6g} bits/use; {taps} selected_tap changed")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -121,7 +143,10 @@ def main(argv: list[str]) -> int:
                 pairs += zip(files[seed, "cdf-jobs1"], files[seed, "cdf-jobs2"])
         differ = [(a, b) for a, b in pairs if not filecmp.cmp(a, b, shallow=False)]
         for a, b in differ:
-            print(f"differ: {a.relative_to(tmp)} {b.relative_to(tmp)}")
+            line = f"differ: {a.relative_to(tmp)} {b.relative_to(tmp)}"
+            if a.name.endswith(".log.json"):
+                line += f" ({_describe_logs(a, b)})"
+            print(line)
     print(f"{len(differ)} of {len(pairs)} differ")
     return 1 if differ else 0
 

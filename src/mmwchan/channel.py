@@ -137,7 +137,7 @@ class SampledChannel:
     delay; ``tap_offset`` may be negative because the pulse is acausal.
     A channel from :func:`sample_channel` holds its window's tap plan and
     renders ``taps``, read-only, on first access, to the bits of a render
-    of the whole window; its shape is known without rendering.
+    of the whole window; its :attr:`shape` is known without rendering.
     """
 
     def __init__(self, taps: np.ndarray, sample_period: float, tap_offset: int):
@@ -152,20 +152,20 @@ class SampledChannel:
         return self._taps
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.taps.shape if self._plan is None else self._plan.shape
+
+    @property
     def n_taps(self) -> int:
-        return self._shape[0]
+        return self.shape[0]
 
     @property
     def n_rx(self) -> int:
-        return self._shape[1]
+        return self.shape[1]
 
     @property
     def n_tx(self) -> int:
-        return self._shape[2]
-
-    @property
-    def _shape(self) -> tuple[int, ...]:
-        return self.taps.shape if self._plan is None else self._plan.shape
+        return self.shape[2]
 
     def _strongest(self) -> tuple[int, np.ndarray]:
         """Index and matrix of the tap with the largest energy, ties to the

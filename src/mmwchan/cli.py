@@ -15,7 +15,7 @@ from .channel import realize_channel, sample_channel
 from .config import parse_config
 from .io import (
     write_cdf_csv,
-    write_dynamic_chunks,
+    write_dynamic_channel,
     write_realization_metadata,
     write_static_channel,
     write_trial_log,
@@ -90,17 +90,16 @@ def _draw_drop(args):
     return config, real, sidecar
 
 
-def _record_drop(args, config, real, sidecar, tensor, shape, **facts) -> None:
-    """Write the sidecar of a drop whose tensor (``tap_offset`` and
-    ``sample_period`` read from ``tensor``; ``shape`` ends in taps, N_R,
-    N_T) is written, and print the command's summary line."""
+def _record_drop(args, config, real, sidecar, tensor, **facts) -> None:
+    """Write the sidecar of a drop whose ``tensor`` (``shape``, ``tap_offset``,
+    ``sample_period``) is written, and print the command's summary line."""
     run_info = _run_info(
-        args.command, config, n_taps=shape[-3], tap_offset=tensor.tap_offset,
+        args.command, config, n_taps=tensor.shape[-3], tap_offset=tensor.tap_offset,
         sample_period_s=tensor.sample_period, **facts,
     )
     write_realization_metadata(sidecar, real, run_info)
     print(
-        f"wrote {args.output}: tensor {'x'.join(map(str, shape))}, "
+        f"wrote {args.output}: tensor {'x'.join(map(str, tensor.shape))}, "
         f"offset {tensor.tap_offset}, {'LOS' if real.los.present else 'NLOS'}, "
         f"{real.n_clusters} clusters / {real.total_rays} rays"
     )
@@ -112,32 +111,25 @@ def cmd_generate_static(args) -> int:
         real, config.arrays(), config.pulse(), config.energy_threshold, config.oversampling
     )
     write_static_channel(args.output, channel)
-    _record_drop(
-        args, config, real, sidecar, channel, channel.taps.shape, stream_id=REALIZATION_STREAM
-    )
+    _record_drop(args, config, real, sidecar, channel, stream_id=REALIZATION_STREAM)
     return 0
 
 
 def cmd_generate_dynamic(args) -> int:
-    """Stream the snapshots to ``--output`` chunk by chunk (see
-    :data:`mmwchan.timevariant.CHUNK_BYTES`); the file equals
-    :func:`mmwchan.timevariant.evolve_channel` written by
-    :func:`mmwchan.io.write_dynamic_channel`."""
+    """Render the drop's :class:`~mmwchan.timevariant.SnapshotStream` into
+    :func:`mmwchan.io.write_dynamic_channel`, the one snapshot-sequence
+    writer, chunk by chunk (:data:`mmwchan.timevariant.CHUNK_BYTES`)."""
     config, real, sidecar = _draw_drop(args)
-    mob = config.mobility()
     stream = SnapshotStream(
-        real, config.arrays(), config.pulse(), mob,
+        real, config.arrays(), config.pulse(), config.mobility(),
         RngStream(config.seed, EVOLUTION_STREAM).generator(), config.energy_threshold,
         config.oversampling,
     )
-    write_dynamic_chunks(
-        args.output, stream.shape, stream.sample_period, stream.tap_offset,
-        mob.snapshot_period, stream.chunks(),
-    )
+    write_dynamic_channel(args.output, stream)
     _record_drop(
-        args, config, real, sidecar, stream, stream.shape,
+        args, config, real, sidecar, stream,
         stream_ids={"realization": REALIZATION_STREAM, "evolution": EVOLUTION_STREAM},
-        n_snapshots=stream.shape[0], snapshot_period_s=mob.snapshot_period,
+        n_snapshots=stream.shape[0], snapshot_period_s=stream.snapshot_period,
     )
     return 0
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._bounds import COUNT, POSITIVE, check
 from .channel import ChannelRealization, ClusterRealization, LosComponent, SampledChannel
 from .geometry import SPEED_OF_LIGHT, LinkGeometry, RayAngles
-from .timevariant import TimeVariantChannel
+from .timevariant import SnapshotStream, TimeVariantChannel
 
 __all__ = [
     "MAGIC",
@@ -36,7 +36,6 @@ __all__ = [
     "write_static_channel",
     "read_static_channel",
     "write_dynamic_channel",
-    "write_dynamic_chunks",
     "read_dynamic_channel",
     "read_channel",
     "realization_to_dict",
@@ -59,13 +58,17 @@ _HEADERS = {
 }
 
 
-def _write_tensor(path, version: int, shape: tuple, chunks: Iterable[np.ndarray], *meta) -> None:
-    """Header (the tap dimensions, the last three of ``shape``, then
-    ``meta``), then each payload chunk as it comes: no copy is made of a
-    chunk that is already contiguous little-endian complex128.  If rendering
-    or writing a chunk raises, the partial file is removed."""
-    n_taps, n_rx, n_tx = shape[-3:]
-    header = _HEADERS[version].pack(MAGIC, version, n_rx, n_tx, n_taps, *meta)
+def _write_tensor(path, version: int, channel, chunks: Iterable[np.ndarray]) -> None:
+    """The header, read from ``channel``'s ``shape``, ``sample_period``,
+    ``tap_offset`` and, for a snapshot sequence, ``snapshot_period``, then
+    each payload chunk as it comes: no copy is made of a chunk that is
+    already contiguous little-endian complex128.  If rendering or writing a
+    chunk raises, the partial file is removed."""
+    *snapshots, n_taps, n_rx, n_tx = channel.shape
+    extra = (*snapshots, channel.snapshot_period) if snapshots else ()
+    header = _HEADERS[version].pack(
+        MAGIC, version, n_rx, n_tx, n_taps, channel.sample_period, channel.tap_offset, *extra
+    )
     f = open(path, "wb")
     try:
         with f:
@@ -79,9 +82,9 @@ def _write_tensor(path, version: int, shape: tuple, chunks: Iterable[np.ndarray]
 
 def _read_tensor(path, versions):
     """The channel stored in a tensor file whose version is in ``versions``.
-    Opens the file once and checks magic, version, header length and payload
-    size before reading the payload straight into the returned array; any
-    mismatch raises ValueError naming the file."""
+    Opens the file once and checks magic, version, header length and ranges
+    and payload size before reading the payload straight into the returned
+    array; any mismatch raises ValueError naming the file."""
     with open(path, "rb") as f:
         blob = f.read(8)
         if len(blob) < 8 or blob[:4] != MAGIC:
@@ -95,6 +98,13 @@ def _read_tensor(path, versions):
             raise ValueError(f"{path}: header truncated to {len(blob)} of {header.size} bytes")
         _, _, n_rx, n_tx, n_taps, period, offset, *extra = header.unpack(blob)
         shape = (*extra[:1], n_taps, n_rx, n_tx)
+        try:
+            for name, value in zip(("n_snapshots", "P", "N_R", "N_T")[-len(shape):], shape):
+                check(name, value, COUNT)
+            for name, value in zip(("sample_period", "snapshot_period"), (period, *extra[1:])):
+                check(name, value, POSITIVE)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         count = math.prod(shape)
         if os.fstat(f.fileno()).st_size != header.size + 16 * count:
             raise ValueError(f"{path}: payload size does not match the header")
@@ -105,30 +115,15 @@ def _read_tensor(path, versions):
 
 
 def write_static_channel(path, channel: SampledChannel) -> None:
-    _write_tensor(
-        path, STATIC_VERSION, channel.taps.shape, [channel.taps],
-        channel.sample_period, channel.tap_offset,
-    )
+    _write_tensor(path, STATIC_VERSION, channel, [channel.taps])
 
 
-def write_dynamic_channel(path, channel: TimeVariantChannel) -> None:
-    write_dynamic_chunks(
-        path, channel.snapshots.shape, channel.sample_period, channel.tap_offset,
-        channel.snapshot_period, [channel.snapshots],
-    )
-
-
-def write_dynamic_chunks(
-    path, shape: tuple, sample_period: float, tap_offset: int, snapshot_period: float,
-    chunks: Iterable[np.ndarray],
-) -> None:
-    """Snapshot sequence of ``shape`` (n_snapshots, P, N_R, N_T) whose
-    payload arrives as ``chunks`` of whole snapshots in time order; each
-    chunk is written before the next is drawn, so they may share a buffer.
-    The file equals :func:`write_dynamic_channel`'s of the same sequence."""
-    _write_tensor(
-        path, DYNAMIC_VERSION, shape, chunks, sample_period, tap_offset, shape[0], snapshot_period
-    )
+def write_dynamic_channel(path, channel: TimeVariantChannel | SnapshotStream) -> None:
+    """Snapshot sequence whose payload ``channel.chunks()`` yields, whole
+    snapshots in time order, each written before the next is drawn: a
+    :class:`SnapshotStream` renders as it is written, in bounded memory, to
+    the file of the :func:`~mmwchan.timevariant.evolve_channel` of its drop."""
+    _write_tensor(path, DYNAMIC_VERSION, channel, channel.chunks())
 
 
 def read_static_channel(path) -> SampledChannel:
@@ -312,7 +307,9 @@ def read_cdf_csv(path) -> tuple[np.ndarray, np.ndarray]:
     for i, row in enumerate(rows[1:]):
         try:
             se, level = row.split(",")
-            data[i] = float(se), float(level)
+            data[i] = values = float(se), float(level)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite value in {row!r}")
         except ValueError as err:
             raise ValueError(f"{path}:{i + 2}: {err}") from None
     return data[:, 0], data[:, 1]

@@ -71,12 +71,19 @@ class TimeVariantChannel:
     snapshot_period: float
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.snapshots.shape
+
+    @property
     def n_snapshots(self) -> int:
-        return self.snapshots.shape[0]
+        return self.shape[0]
 
     @property
     def n_taps(self) -> int:
-        return self.snapshots.shape[1]
+        return self.shape[1]
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        yield self.snapshots
 
 
 def doppler_shift(angles: RayAngles, v_rx, v_tx, carrier_frequency: float):
@@ -107,9 +114,10 @@ CHUNK_BYTES = 8 << 20
 
 class SnapshotStream:
     """A drop's snapshot sequence whose tap window is chosen from snapshot 0,
-    the static weights, on construction, so :attr:`shape` (n_snapshots, P,
-    N_R, N_T), :attr:`sample_period` and :attr:`tap_offset` are known before
-    anything is drawn; :meth:`chunks`, iterated once, renders it."""
+    the static weights, on construction, so its tensor header, :attr:`shape`
+    (n_snapshots, P, N_R, N_T), :attr:`sample_period`, :attr:`tap_offset` and
+    :attr:`snapshot_period`, is known before anything is drawn; :meth:`chunks`,
+    iterated once, renders it."""
 
     def __init__(
         self, real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, mob: MobilitySpec,
@@ -121,7 +129,7 @@ class SnapshotStream:
             self._rho = default_gain_correlation(mob, real.carrier_frequency)
         self._plan = _plan_taps(real, arrays, spec, energy_threshold, oversampling)
         self._nu = doppler_shift(self._plan.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
-        self._rng, self._mob = rng, mob
+        self._rng, self.snapshot_period = rng, mob.snapshot_period
         self.shape = (mob.n_snapshots, *self._plan.shape)
         self.sample_period, self.tap_offset = self._plan.sample_period, self._plan.tap_offset
 
@@ -151,7 +159,7 @@ class SnapshotStream:
             if plan.los is not None and rho < 1.0:
                 gains[1:, plan.los] /= np.abs(gains[1:, plan.los])
             weights = gains[last:]
-            t = np.arange(start, stop) * self._mob.snapshot_period
+            t = np.arange(start, stop) * self.snapshot_period
             weights *= np.exp(-2j * np.pi * self._nu[None, :] * t[:, None])
             weights *= plan.static_scale
             chunk = out[start:stop] if buffer is None else buffer[: stop - start]
@@ -165,7 +173,8 @@ def evolve_channel(
     oversampling: int = 1,
 ) -> TimeVariantChannel:
     """Render a realization as a sequence of tap-tensor snapshots: the chunks
-    of :class:`SnapshotStream`, rendered into the returned array.  Per-path
+    of :class:`SnapshotStream`, rendered into the returned array; either one
+    gives :func:`mmwchan.io.write_dynamic_channel` the same file.  Per-path
     AR(1) innovations are drawn snapshot by snapshot, each step along the paths
     in delay order; nothing is drawn at coefficient 1.  The tap window,
     chosen from snapshot 0, is shared by all snapshots; snapshot 0 equals the
@@ -175,5 +184,5 @@ def evolve_channel(
     for _ in stream.chunks(out=snapshots):
         pass
     return TimeVariantChannel(
-        snapshots, stream.sample_period, stream.tap_offset, mob.snapshot_period
+        snapshots, stream.sample_period, stream.tap_offset, stream.snapshot_period
     )

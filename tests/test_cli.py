@@ -29,6 +29,7 @@ from mmwchan.io import (
     write_dynamic_channel,
 )
 from mmwchan.sampling import RngStream
+from mmwchan.timevariant import SnapshotStream
 
 
 def run_cli(*args):
@@ -129,20 +130,26 @@ ONE_BY_ONE = {
 
 @pytest.mark.parametrize("n_snapshots", [1, 2, 9, 64])
 def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapshots):
-    """generate-dynamic writes chunk by chunk the bytes that evolve_channel
-    and write_dynamic_channel write at once, which perfbench's traced run
+    """generate-dynamic, and write_dynamic_channel given the drop's
+    SnapshotStream, write chunk by chunk the bytes that evolve_channel and
+    write_dynamic_channel write at once, which perfbench's traced run
     compares against: at 20 x 30 arrays, where a chunk's taps set its
     length, and at 1 x 1, where eight times its weights do."""
     for arrays in ({}, ONE_BY_ONE):
         overrides = {"seed": 7, "v_rx_mps": 20, "n_snapshots": n_snapshots, **arrays}
         config = parse_config(None, {k: str(v) for k, v in overrides.items()})
         real = realize_channel(config, RngStream(7, REALIZATION_STREAM).generator())
+
+        def drop(render):
+            """The drop's snapshot sequence from ``render``, drawn afresh."""
+            return render(
+                real, config.arrays(), config.pulse(), config.mobility(),
+                RngStream(7, EVOLUTION_STREAM).generator(), config.energy_threshold,
+                config.oversampling,
+            )
+
         monkeypatch.setattr(timevariant, "CHUNK_BYTES", 1 << 40)  # one chunk
-        channel = evolve_channel(
-            real, config.arrays(), config.pulse(), config.mobility(),
-            RngStream(7, EVOLUTION_STREAM).generator(), config.energy_threshold,
-            config.oversampling,
-        )
+        channel = drop(evolve_channel)
         write_dynamic_channel(tmp_path / "memory.mmwc", channel)
         expected = (tmp_path / "memory.mmwc").read_bytes()
         plan = _lay_paths(real, config.arrays(), config.pulse(), config.oversampling)
@@ -156,6 +163,9 @@ def test_streamed_tensor_equals_in_memory_tensor(tmp_path, monkeypatch, n_snapsh
             out = tmp_path / f"stream{per_chunk}.mmwc"
             run_cli("generate-dynamic", *_config_args(overrides), "--output", out)
             assert out.read_bytes() == expected, (arrays, per_chunk)
+            library = tmp_path / f"library{per_chunk}.mmwc"
+            write_dynamic_channel(library, drop(SnapshotStream))
+            assert library.read_bytes() == expected, (arrays, per_chunk)
             run, _ = read_realization_metadata(out.with_suffix(".json"))
             assert run["n_snapshots"] == n_snapshots
             assert (run["n_taps"], run["tap_offset"]) == (channel.n_taps, channel.tap_offset)

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import json
+import math
 import re
 import struct
 
@@ -275,6 +276,44 @@ def test_failed_tensor_write_leaves_no_partial_file(tmp_path):
     with pytest.raises(OSError, match="No space left"):
         write_static_channel(path, SampledChannel(TapsOnAFullDisk(), 1e-9, 0))
     assert not path.exists()
+
+
+def tensor_file(path, version, **header):
+    """Path of a tensor file of ``version`` whose header fields (by
+    :func:`struct.pack` order) take ``header``'s values, with a payload that
+    fits them."""
+    fields = {"n_rx": 2, "n_tx": 3, "n_taps": 4, "sample_period": 1e-9, "tap_offset": -1}
+    if version == DYNAMIC_VERSION:
+        fields |= {"n_snapshots": 2, "snapshot_period": 1e-6}
+    fields |= header
+    count = math.prod(value for key, value in fields.items() if key.startswith("n_"))
+    layout = "<4sIIIIdq" + ("Id" if version == DYNAMIC_VERSION else "")
+    path.write_bytes(struct.pack(layout, MAGIC, version, *fields.values()) + bytes(16 * count))
+    return path
+
+
+@pytest.mark.parametrize(
+    "version, key, value, field",
+    [
+        (DYNAMIC_VERSION, "n_snapshots", 0, "n_snapshots"),
+        (STATIC_VERSION, "n_taps", 0, "P"),
+        (DYNAMIC_VERSION, "n_taps", 0, "P"),
+        (STATIC_VERSION, "n_rx", 0, "N_R"),
+        (DYNAMIC_VERSION, "n_tx", 0, "N_T"),
+        (STATIC_VERSION, "sample_period", math.nan, "sample_period"),
+        (STATIC_VERSION, "sample_period", 0.0, "sample_period"),
+        (DYNAMIC_VERSION, "sample_period", -1.0, "sample_period"),
+        (DYNAMIC_VERSION, "snapshot_period", math.inf, "snapshot_period"),
+        (DYNAMIC_VERSION, "snapshot_period", math.nan, "snapshot_period"),
+    ],
+)
+def test_tensor_header_out_of_range_is_rejected(tmp_path, version, key, value, field):
+    """Each count of a tensor header must be at least 1 and each period
+    positive and finite; the reader names the file and the field."""
+    read_channel(tensor_file(tmp_path / "good.mmwc", version))
+    path = tensor_file(tmp_path / "bad.mmwc", version, **{key: value})
+    with pytest.raises(ValueError, match=rf"bad\.mmwc: {field} must be a finite number"):
+        read_channel(path)
 
 
 def test_negative_tap_offset_survives_round_trip(tmp_path):
@@ -558,6 +597,9 @@ def test_cdf_csv_without_rows_is_rejected(tmp_path, text):
         ("1.0,0.5\n1.0,abc", "bad.csv:3: could not convert"),
         ("2.5\n3.0,1.0", "bad.csv:2: not enough values"),
         ("1.0,0.5\n1.0,0.5,2.0", "bad.csv:3: too many values"),
+        ("1.0,0.5\nnan,0.5", "bad.csv:3: non-finite value in 'nan,0.5'"),
+        ("inf,2.0", "bad.csv:2: non-finite value in 'inf,2.0'"),
+        ("1.0,-inf", "bad.csv:2: non-finite"),
     ],
 )
 def test_cdf_csv_bad_row_names_file_and_line(tmp_path, rows, match):

@@ -314,7 +314,7 @@ def test_plan_channel_beamforms_and_projects_as_its_taps(name):
 @pytest.mark.parametrize("name", PLAN_CONFIGS)
 def test_single_trial_renders_one_tap_per_drop(name, monkeypatch):
     """``eval-cdf`` renders only each drop's strongest tap; the window's
-    shape is known without rendering."""
+    shape is known without rendering, and the rendered taps have it."""
     rendered = []
     render = channel_module._render_taps
 
@@ -329,11 +329,14 @@ def test_single_trial_renders_one_tap_per_drop(name, monkeypatch):
         result = _single_trial(config, k)
         assert rendered == [1], k
         assert result.n_taps >= 1
-    channel, _ = next(_sampled_drops(config, 1))
+    real = realize_channel(config, RngStream(config.seed, 0).generator())
     rendered.clear()
-    assert (channel.n_rx, channel.n_tx) == (config.arrays().rx.n_elements,
-                                            config.arrays().tx.n_elements)
+    channel = sample_channel(real, config.arrays(), config.pulse(), config.energy_threshold)
+    shape = channel.shape
+    assert shape == (channel.n_taps, config.arrays().rx.n_elements,
+                     config.arrays().tx.n_elements)
     assert channel.n_taps >= 1 and rendered == []
+    assert channel.taps.shape == shape and rendered != []
 
 
 @pytest.mark.filterwarnings("ignore:strongest tap supports:RuntimeWarning")

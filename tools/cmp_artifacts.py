@@ -27,8 +27,9 @@ interpreter with ``PYTHONPATH`` set to its ``src``:
 
 Every artifact (tensors, sidecars, CSVs, trial logs) is compared with its
 counterpart from the other tree, and each tree's ``--jobs 2`` CSV and log
-with its serial ones, 160 pairs in all.  Prints each differing pair and an
-"N of M differ" line; exits 1 if any pair differs.  A differing pair of
+with its serial ones, 160 pairs in all.  Prints each differing pair, each
+tree's ``mmwchan`` size (the lines of its ``*.py`` files) and an "N of M
+differ" line; exits 1 if any pair differs.  A differing pair of
 trial logs also gets a summary: how many trials' ``rate_bits_per_use``
 moved by more than 1e-9 relative, the largest move in bits/use, and how
 many ``selected_tap`` values changed.
@@ -117,6 +118,12 @@ def _describe_logs(a: Path, b: Path) -> str:
             f"largest {max(moves, default=0.0):.6g} bits/use; {taps} selected_tap changed")
 
 
+def _package_lines(src: Path) -> int:
+    """Lines of the ``*.py`` files of ``src``'s ``mmwchan`` package, as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "mmwchan").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -147,6 +154,8 @@ def main(argv: list[str]) -> int:
             if a.name.endswith(".log.json"):
                 line += f" ({_describe_logs(a, b)})"
             print(line)
+    for label, src in zip(("old", "new"), trees):
+        print(f"{label} {src}/mmwchan: {_package_lines(src)} lines")
     print(f"{len(differ)} of {len(pairs)} differ")
     return 1 if differ else 0
 

@@ -15,7 +15,7 @@ from .channel import (
     sample_channel,
     total_tap_energy,
 )
-from .config import ScenarioConfig, parse_config, serialize_config
+from .config import ScenarioConfig, parse_config, serialize_config, thermal_noise_variance
 from .geometry import (
     SPEED_OF_LIGHT,
     LinkGeometry,
@@ -36,7 +36,6 @@ from .link import (
     design_beamformers,
     lmmse_operator,
     run_cdf_experiment,
-    thermal_noise_variance,
 )
 from .propagation import (
     SCENARIOS,

@@ -107,14 +107,14 @@ class LosComponent:
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """Complete small-scale draw for one link drop."""
+    """Complete small-scale draw for one link drop; the arrays enter only
+    when it is sampled."""
 
     scenario: str
     carrier_frequency: float
     geometry: LinkGeometry
     clusters: list[ClusterRealization]
     los: LosComponent
-    gain_normalization: float
 
     @property
     def wavelength(self) -> float:
@@ -191,10 +191,6 @@ class SampledChannel:
         return ((dh @ plan.a_r)[None] * coeff) @ (plan.a_t @ precoder)
 
 
-def _gain_normalization(n_rx: int, n_tx: int, total_rays: int) -> float:
-    return float(np.sqrt(n_rx * n_tx / total_rays))
-
-
 def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization.
 
@@ -202,7 +198,8 @@ def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> Chann
     counts; per cluster its four mean angles, first-leg distance, per-ray
     angle offsets, gains, and shadow fading; finally the LOS phase and LOS
     shadow fading.  LOS-side draws happen even for blocked links so the
-    direct-path fields are always populated.
+    direct-path fields are always populated.  The draw does not depend on
+    the arrays: configs that differ only in them draw the same realization.
     """
     geom = config.geometry()
     wavelength = config.wavelength
@@ -275,18 +272,12 @@ def realize_channel(config: "ScenarioConfig", rng: np.random.Generator) -> Chann
         shadow_db=los_shadow,
         phase=phase,
     )
-
-    arrays = config.arrays()
-    gamma = _gain_normalization(
-        arrays.rx.n_elements, arrays.tx.n_elements, int(np.sum(ray_counts))
-    )
     return ChannelRealization(
         scenario=config.scenario,
         carrier_frequency=config.carrier_frequency_hz,
         geometry=geom,
         clusters=clusters,
         los=los,
-        gain_normalization=gamma,
     )
 
 
@@ -341,16 +332,17 @@ def _lay_paths(
 ) -> _TapPlan:
     """Flatten a realization, stable-sort its paths by delay (the one
     reordering of a drop) and lay their truncated pulses on the grid covering
-    every path's support.  The power normalization is recomputed from the
-    supplied arrays, so a fixed realization can be re-sampled under different
-    array geometries."""
+    every path's support.  The power normalization
+    ``sqrt(N_R N_T / total rays)`` is computed here from the supplied arrays,
+    so a fixed realization can be re-sampled under different array
+    geometries."""
     check("oversampling", oversampling, COUNT, integer=True)
     los = real.los
     if not real.clusters and not los.present:
         raise ValueError("realization has no propagation paths")
     n_rx = arrays.rx.n_elements
     n_tx = arrays.tx.n_elements
-    gamma = _gain_normalization(n_rx, n_tx, real.total_rays) if real.clusters else 0.0
+    gamma = float(np.sqrt(n_rx * n_tx / real.total_rays)) if real.clusters else 0.0
 
     def column(name: str, los_value, dtype=float) -> np.ndarray:
         """Every cluster's per-ray ``name`` field, then the direct path's value."""

@@ -143,10 +143,7 @@ def read_channel(path):
 
 # Sidecar key tables, one per stored object: JSON key -> attribute.  Both
 # directions read them; only the nested objects' keys are spelled out.
-_TOP_KEYS = {
-    "scenario": "scenario", "carrier_frequency_hz": "carrier_frequency",
-    "gain_normalization": "gain_normalization",
-}
+_TOP_KEYS = {"scenario": "scenario", "carrier_frequency_hz": "carrier_frequency"}
 _GEOMETRY_KEYS = {"distance_m": "distance", "tx_height_m": "tx_height", "rx_height_m": "rx_height"}
 _LOS_KEYS = {
     "present": "present", "path_length_m": "path_length", "delay_s": "delay",

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._bounds import COUNT, POSITIVE, _Interval, check
 from .channel import SampledChannel, realize_channel, sample_channel
-from .config import ScenarioConfig, thermal_noise_variance
+from .config import ScenarioConfig
 from .sampling import RngStream
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "build_stacked_model",
     "lmmse_operator",
     "achievable_rate",
-    "thermal_noise_variance",
     "run_cdf_experiment",
 ]
 

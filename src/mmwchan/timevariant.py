@@ -116,8 +116,9 @@ class SnapshotStream:
     """A drop's snapshot sequence whose tap window is chosen from snapshot 0,
     the static weights, on construction, so its tensor header, :attr:`shape`
     (n_snapshots, P, N_R, N_T), :attr:`sample_period`, :attr:`tap_offset` and
-    :attr:`snapshot_period`, is known before anything is drawn; :meth:`chunks`,
-    iterated once, renders it."""
+    :attr:`snapshot_period`, is known before anything is drawn; :meth:`chunks`
+    renders it, once: it continues the generator it was given, so a second
+    pass would render other snapshots and raises RuntimeError instead."""
 
     def __init__(
         self, real: ChannelRealization, arrays: ArrayPair, spec: PulseSpec, mob: MobilitySpec,
@@ -130,6 +131,7 @@ class SnapshotStream:
         self._plan = _plan_taps(real, arrays, spec, energy_threshold, oversampling)
         self._nu = doppler_shift(self._plan.angles, mob.v_rx, mob.v_tx, real.carrier_frequency)
         self._rng, self.snapshot_period = rng, mob.snapshot_period
+        self._rendered = False
         self.shape = (mob.n_snapshots, *self._plan.shape)
         self.sample_period, self.tap_offset = self._plan.sample_period, self._plan.tap_offset
 
@@ -144,6 +146,9 @@ class SnapshotStream:
         exp(j*phase), lies; not when frozen: z / |z| is not bitwise z, and the
         frozen limit must equal the static taps bitwise.  Then each path
         rotates at its Doppler frequency and takes its static scale."""
+        if self._rendered:
+            raise RuntimeError("a SnapshotStream renders once; build another to render again")
+        self._rendered = True
         plan, rho = self._plan, self._rho
         n_snap, *snapshot = self.shape
         per_snapshot = 16 * max(int(np.prod(snapshot)), 8 * len(plan.weights))

@@ -78,7 +78,6 @@ def fixed_realization(
         geometry=geom,
         clusters=[cluster],
         los=direct,
-        gain_normalization=1.0,
     )
 
 

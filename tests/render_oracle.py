@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mmwchan.channel import SampledChannel, _gain_normalization
+from mmwchan.channel import SampledChannel
 from mmwchan.geometry import RayAngles
 from mmwchan.pulse import end_to_end_pulse
 from mmwchan.timevariant import TimeVariantChannel, default_gain_correlation, doppler_shift
@@ -36,7 +36,7 @@ def path_table(real, arrays):
     """
     n_rx = arrays.rx.n_elements
     n_tx = arrays.tx.n_elements
-    gamma = _gain_normalization(n_rx, n_tx, real.total_rays) if real.clusters else 0.0
+    gamma = np.sqrt(n_rx * n_tx / real.total_rays) if real.clusters else 0.0
     rows = []
     for c in real.clusters:
         for l in range(c.n_rays):

@@ -1,5 +1,7 @@
 """Tests for channel realization draws and tap-domain sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from mmwchan.channel import (
     total_tap_energy as _total_tap_energy,
 )
 from mmwchan.geometry import SPEED_OF_LIGHT, LinkGeometry, RayAngles, los_geometry
+from mmwchan.io import realization_to_dict
 from mmwchan.propagation import path_loss_db, scenario_parameters
 
 T = DYADIC_SYMBOL_PERIOD
@@ -74,7 +77,6 @@ def delta_realization(
         geometry=geom,
         clusters=[cluster],
         los=los_state,
-        gain_normalization=1.0,
     )
 
 
@@ -101,9 +103,6 @@ def test_realization_structural_invariants():
     for seed in range(12):
         real = realize_channel(config, np.random.default_rng(seed))
         assert real.n_clusters >= 1
-        assert real.gain_normalization == pytest.approx(
-            np.sqrt(20 * 30 / real.total_rays), rel=1e-14
-        )
         for c in real.clusters:
             assert 1 <= c.n_rays <= 30
             assert 1.0 <= c.distance <= 1.75 * 30.0 + 1e-9
@@ -133,6 +132,14 @@ def test_realization_is_reproducible():
     assert a.los.phase == b.los.phase
     c = realize_channel(config, np.random.default_rng(43))
     assert c.los.phase != a.los.phase
+    # The draw does not depend on the arrays, which enter at sampling.
+    for arrays in (
+        {"rx_horizontal": 2, "rx_vertical": 2},
+        {"tx_horizontal": 8, "tx_vertical": 1},
+        {"spacing_wavelengths": 0.7},
+    ):
+        other = realize_channel(replace(config, **arrays), np.random.default_rng(42))
+        assert realization_to_dict(other) == realization_to_dict(a), arrays
 
 
 def test_realization_both_los_states_occur():
@@ -252,7 +259,6 @@ def test_direct_path_lands_on_tap_zero():
             shadow_db=0.0,
             phase=0.7,
         ),
-        gain_normalization=0.0,
     )
     arrays = small_arrays(3)
     sampled = sample_channel(real, arrays, dyadic_pulse())

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import math
+import os
 import re
 import struct
 
@@ -20,6 +21,7 @@ from mmwchan import (
     serialize_config,
 )
 from mmwchan.channel import SampledChannel
+from mmwchan.timevariant import SnapshotStream
 from mmwchan.io import (
     DYNAMIC_VERSION,
     MAGIC,
@@ -278,6 +280,45 @@ def test_failed_tensor_write_leaves_no_partial_file(tmp_path):
     assert not path.exists()
 
 
+def test_rewritten_outputs_are_written_through_every_link(tmp_path):
+    """An existing tensor and sidecar are both rewritten in place, so a pair
+    kept under other hard links still re-samples to the tensor beside it,
+    and a symlinked output writes its target."""
+    channel = sampled_for_io()
+    real = fixed_realization(n_rays=3, los=True)
+    path, sidecar = tmp_path / "chan.mmwc", tmp_path / "chan.json"
+    keep, keep_sidecar = tmp_path / "keep.mmwc", tmp_path / "keep.json"
+    for name, other in ((keep, path), (keep_sidecar, sidecar)):
+        name.write_bytes(b"an earlier run's output")
+        os.link(name, other)
+    write_static_channel(path, channel)
+    write_realization_metadata(sidecar, real, {"command": "test"})
+    assert keep.read_bytes() == path.read_bytes()
+    assert keep_sidecar.read_bytes() == sidecar.read_bytes()
+    target, link = tmp_path / "target.mmwc", tmp_path / "link.mmwc"
+    target.write_bytes(b"an earlier run's output")
+    link.symlink_to(target)
+    write_static_channel(link, channel)
+    assert link.is_symlink()
+    assert target.read_bytes() == path.read_bytes()
+
+
+def test_snapshot_stream_renders_once(tmp_path):
+    """A second pass would continue the stream's generator and render other
+    snapshots from snapshot 1 on; it raises instead, and its file is
+    removed."""
+    real = delta_realization([0.0, 2.0], [-80.0, -83.0])
+    mob = MobilitySpec(v_rx=20.0, n_snapshots=4)
+    stream = SnapshotStream(real, small_arrays(), dyadic_pulse(), mob, np.random.default_rng(0))
+    first, second = tmp_path / "first.mmwc", tmp_path / "second.mmwc"
+    write_dynamic_channel(first, stream)
+    expected = first.read_bytes()
+    with pytest.raises(RuntimeError, match="renders once"):
+        write_dynamic_channel(second, stream)
+    assert not second.exists()
+    assert first.read_bytes() == expected
+
+
 def tensor_file(path, version, **header):
     """Path of a tensor file of ``version`` whose header fields (by
     :func:`struct.pack` order) take ``header``'s values, with a payload that
@@ -386,7 +427,6 @@ def test_realization_dict_round_trip():
     assert back.scenario == real.scenario
     assert back.carrier_frequency == real.carrier_frequency
     assert back.geometry == real.geometry
-    assert back.gain_normalization == real.gain_normalization
     assert back.los.present == real.los.present
     assert back.los.phase == real.los.phase
     assert back.n_clusters == real.n_clusters
@@ -401,14 +441,21 @@ def test_metadata_file_round_trip(tmp_path):
     real = fixed_realization(n_rays=2, los=False, seed=5)
     path = tmp_path / "real.json"
     write_realization_metadata(path, real, {"command": "test", "seed": 5})
-    run, back = read_realization_metadata(path)
-    assert run == {"command": "test", "seed": 5}
-    np.testing.assert_array_equal(back.clusters[0].gains, real.clusters[0].gains)
-    # identical tap tensors after a metadata round trip
     a = sample_channel(real, small_arrays(), dyadic_pulse())
-    b = sample_channel(back, small_arrays(), dyadic_pulse())
-    np.testing.assert_array_equal(a.taps, b.taps)
-    assert a.tap_offset == b.tap_offset
+    document = json.loads(path.read_text())
+    # The sidecar holds no gain normalization, which the sampler computes
+    # from the arrays; an older sidecar's stored value is ignored.
+    for stored in ({}, {"gain_normalization": 0.5}):
+        document["realization"].pop("gain_normalization", None)
+        document["realization"].update(stored)
+        path.write_text(json.dumps(document))
+        run, back = read_realization_metadata(path)
+        assert run == {"command": "test", "seed": 5}
+        np.testing.assert_array_equal(back.clusters[0].gains, real.clusters[0].gains)
+        # identical tap tensors after a metadata round trip
+        b = sample_channel(back, small_arrays(), dyadic_pulse())
+        assert b.taps.tobytes() == a.taps.tobytes(), stored
+        assert a.tap_offset == b.tap_offset
 
 
 ANGLE_KEYS = {"aod_azimuth_rad", "aod_elevation_rad", "aoa_azimuth_rad", "aoa_elevation_rad"}
@@ -420,7 +467,7 @@ def test_sidecar_key_names_are_pinned(tmp_path):
     stored = json.loads(path.read_text())["realization"]
     assert set(stored) == {
         "scenario", "carrier_frequency_hz", "distance_m", "tx_height_m",
-        "rx_height_m", "gain_normalization", "los", "clusters",
+        "rx_height_m", "los", "clusters",
     }
     assert set(stored["los"]) == ANGLE_KEYS | {
         "present", "path_length_m", "delay_s", "attenuation_db", "shadow_db",

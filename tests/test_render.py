@@ -47,7 +47,6 @@ from mmwchan.channel import (
     ChannelRealization,
     ClusterRealization,
     LosComponent,
-    _gain_normalization,
     _lay_paths,
     _render_taps,
     _row_energies,
@@ -255,7 +254,7 @@ def _realization(delays, rng, los=False):
         phase=rng.uniform(0.0, 2.0 * np.pi),
     )
     geometry = LinkGeometry(1.0, 1.0, 1.0)
-    return ChannelRealization("umi-street-canyon", 73e9, geometry, [cluster], direct, 0.0)
+    return ChannelRealization("umi-street-canyon", 73e9, geometry, [cluster], direct)
 
 
 # Delays in symbol periods: repeated values make ties, and the spread lets
@@ -284,7 +283,7 @@ def test_band_holds_exactly_the_paths_covering_each_row(delays, los, half_length
     # plan holds them in stable delay order, ties keeping draw order.
     ray, direct = real.clusters[0], real.los
     n_rx, n_tx = SMALL_ARRAYS.rx.n_elements, SMALL_ARRAYS.tx.n_elements
-    scale = _gain_normalization(n_rx, n_tx, len(tau)) * 10.0 ** (ray.attenuation_db / 20.0)
+    scale = np.sqrt(n_rx * n_tx / len(tau)) * 10.0 ** (ray.attenuation_db / 20.0)
     gain = ray.gains
     names = [f.name for f in dataclasses.fields(RayAngles)]
     angles = [getattr(ray, name) for name in names]

@@ -32,7 +32,10 @@ tree's ``mmwchan`` size (the lines of its ``*.py`` files) and an "N of M
 differ" line; exits 1 if any pair differs.  A differing pair of
 trial logs also gets a summary: how many trials' ``rate_bits_per_use``
 moved by more than 1e-9 relative, the largest move in bits/use, and how
-many ``selected_tap`` values changed.
+many ``selected_tap`` values changed.  So does a differing pair of
+sidecars: whether their ``run`` objects are equal, and which
+``realization`` keys, at the top level, in ``los`` and in the clusters,
+were added, removed or changed.
 """
 
 from __future__ import annotations
@@ -118,6 +121,32 @@ def _describe_logs(a: Path, b: Path) -> str:
             f"largest {max(moves, default=0.0):.6g} bits/use; {taps} selected_tap changed")
 
 
+def _describe_sidecars(a: Path, b: Path) -> str:
+    """How two ``generate-*`` sidecars differ: their ``run`` objects, and the
+    ``realization`` keys added, removed or changed (a cluster key counts
+    once, named ``clusters[].key``, whichever clusters it differs in)."""
+    old, new = (json.loads(path.read_text()) for path in (a, b))
+    real_old, real_new = old["realization"], new["realization"]
+    objects = [("", real_old, real_new), ("los.", real_old["los"], real_new["los"])]
+    objects += [("clusters[].", x, y) for x, y in zip(real_old["clusters"], real_new["clusters"])]
+    moves = {"added": set(), "removed": set(), "changed": set()}
+    for prefix, x, y in objects:
+        for key in x.keys() | y.keys():
+            if not prefix and key in ("los", "clusters"):
+                continue  # their keys are compared as objects of their own
+            if key not in x:
+                moves["added"].add(prefix + key)
+            elif key not in y:
+                moves["removed"].add(prefix + key)
+            elif x[key] != y[key]:
+                moves["changed"].add(prefix + key)
+    if len(real_old["clusters"]) != len(real_new["clusters"]):
+        moves["changed"].add("clusters (count)")
+    run = "run equal" if old["run"] == new["run"] else "run differs"
+    parts = [f"{kind} {', '.join(sorted(keys))}" for kind, keys in moves.items() if keys]
+    return f"{run}; realization keys " + ("; ".join(parts) if parts else "equal")
+
+
 def _package_lines(src: Path) -> int:
     """Lines of the ``*.py`` files of ``src``'s ``mmwchan`` package, as
     ``wc -l`` counts them."""
@@ -153,6 +182,8 @@ def main(argv: list[str]) -> int:
             line = f"differ: {a.relative_to(tmp)} {b.relative_to(tmp)}"
             if a.name.endswith(".log.json"):
                 line += f" ({_describe_logs(a, b)})"
+            elif a.suffix == ".json":
+                line += f" ({_describe_sidecars(a, b)})"
             print(line)
     for label, src in zip(("old", "new"), trees):
         print(f"{label} {src}/mmwchan: {_package_lines(src)} lines")

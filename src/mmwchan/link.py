@@ -174,10 +174,11 @@ def _stacked_covariance(model: StackedModel, tx_power: float) -> np.ndarray:
     return np.array(windows.transpose(0, 1, 3, 2), order="C").reshape(p * m, p * m)
 
 
-def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve C X = rhs for the Hermitian block-Toeplitz C whose block (i, j)
-    is R(i-j) = ``lags[P-1+i-j]``, without forming C (Whittle 1963; Akaike
-    1973).
+def _block_levinson(systems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Solve C X = rhs for each (lags, rhs) of ``systems``, all of M
+    streams, where C is the Hermitian block-Toeplitz matrix whose block
+    (i, j) is R(i-j) = ``lags[P-1+i-j]``, without forming C (Whittle 1963;
+    Akaike 1973).
 
     Step n extends three solutions on the leading n x n blocks C_n to n+1
     blocks: the backward and forward predictors, ``C_n B = [0 ... 0 I]^T``
@@ -188,35 +189,59 @@ def _block_levinson(lags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``S = [[I, Df], [Db, I]]``, the next backward predictor is
     ``B' = [[0; B], [F; 0]] S^-1 [I; 0]``, and then ``F' = [F; 0] - B' Df``
     and ``X' = [X; 0] - B' (T - rhs_n)``.  A step is one 2M x 2M inverse
-    and products over (n+1) M rows.  A singular leading block or S raises
-    LinAlgError.
+    and products over (n+1) M rows.  A singular leading block or S in any
+    system raises LinAlgError.
+
+    The systems run in lockstep, longest first, so the ones still running
+    at step n (P > n) are a prefix of one stack, and each numpy call of a
+    step advances all of them.  Stacked ``matmul`` and ``inv`` make one
+    BLAS or LAPACK call per system, of the shapes a lone system's call has,
+    and lags of |d| >= P, which pad a shorter system to the longest, are
+    never read: every solution has the bits of its system solved alone.
     """
-    m = lags.shape[1]
-    p = (lags.shape[0] + 1) // 2
-    # Block rows [R(P-1) ... R(1)] and [R(-1) ... R(-(P-1))]; step n reads
-    # the last and the first n blocks.  ``work`` holds [0; B], [F; 0] and
-    # [X; 0] side by side; ``step`` holds [I, Df, T - rhs_n] above
-    # [Db, I, 0], so its first 2M columns are S.
-    ahead = lags[p:][::-1].transpose(1, 0, 2).reshape(m, (p - 1) * m)
-    behind = lags[: p - 1][::-1].transpose(1, 0, 2).reshape(m, (p - 1) * m)
-    work = np.zeros(((p + 1) * m, 3 * m), dtype=np.complex128)
-    inverse = np.linalg.inv(lags[p - 1])
-    work[m : 2 * m, :m] = inverse
-    work[:m, m : 2 * m] = inverse
-    work[:m, 2 * m :] = inverse @ rhs[:m]
-    step = np.eye(2 * m, 3 * m, dtype=np.complex128)
+    if not systems:
+        return []
+    order = sorted(range(len(systems)), key=lambda i: -len(systems[i][0]))
+    sizes = [(len(systems[i][0]) + 1) // 2 for i in order]
+    k, p, m = len(order), sizes[0], systems[0][0].shape[1]
+    # Block rows [R(P-1) ... R(1)], right-aligned, and [R(-1) ... R(-(P-1))],
+    # left-aligned; step n reads the last and the first n blocks.  ``work``
+    # holds [0; B], [F; 0] and [X; 0] side by side; ``step`` holds
+    # [I, Df, T - rhs_n] above [Db, I, 0], so its first 2M columns are S.
+    ahead = np.zeros((k, m, (p - 1) * m), dtype=np.complex128)
+    behind = np.zeros((k, m, (p - 1) * m), dtype=np.complex128)
+    rhs = np.zeros((k, p * m, m), dtype=np.complex128)
+    for row, (i, q) in enumerate(zip(order, sizes)):
+        lags, span = systems[i][0], (q - 1) * m
+        ahead[row, :, (p - 1) * m - span :] = lags[q:][::-1].transpose(1, 0, 2).reshape(m, span)
+        behind[row, :, :span] = lags[: q - 1][::-1].transpose(1, 0, 2).reshape(m, span)
+        rhs[row, : q * m] = systems[i][1]
+    work = np.zeros((k, (p + 1) * m, 3 * m), dtype=np.complex128)
+    inverse = np.linalg.inv(np.stack([systems[i][0][q - 1] for i, q in zip(order, sizes)]))
+    work[:, m : 2 * m, :m] = inverse
+    work[:, :m, m : 2 * m] = inverse
+    work[:, :m, 2 * m :] = inverse @ rhs[:, :m]
+    step = np.zeros((k, 2 * m, 3 * m), dtype=np.complex128)
+    step[:] = np.eye(2 * m, 3 * m)
+    running = k
     for n in range(1, p):
+        while sizes[running - 1] <= n:
+            running -= 1
         rows = (n + 1) * m
-        np.matmul(ahead[:, (p - 1 - n) * m :], work[: n * m, m:], out=step[:m, m:])
-        step[:m, 2 * m :] -= rhs[n * m : rows]
-        np.matmul(behind[:, : n * m], work[m:rows, :m], out=step[m:, :m])
-        backward = work[:rows, : 2 * m] @ np.linalg.inv(step[:, : 2 * m])[:, :m]
+        w, s = work[:running], step[:running]
+        np.matmul(ahead[:running, :, (p - 1 - n) * m :], w[:, : n * m, m:], out=s[:, :m, m:])
+        s[:, :m, 2 * m :] -= rhs[:running, n * m : rows]
+        np.matmul(behind[:running, :, : n * m], w[:, m:rows, :m], out=s[:, m:, :m])
+        backward = w[:, :rows, : 2 * m] @ np.linalg.inv(s[:, :, : 2 * m])[:, :, :m]
         # One contiguous update of all three columns: the first, [0; B],
         # gets -B' from the identity block and is then overwritten.
-        work[:rows] -= backward @ step[:m]
-        work[:m, :m] = 0.0
-        work[m : rows + m, :m] = backward
-    return work[: p * m, 2 * m :]
+        w[:, :rows] -= backward @ s[:, :m]
+        w[:, :m, :m] = 0.0
+        w[:, m : rows + m, :m] = backward
+    solutions = [None] * k
+    for row, (i, q) in enumerate(zip(order, sizes)):
+        solutions[i] = work[row, : q * m, 2 * m :]
+    return solutions
 
 
 #: At M = 1, the largest stacked dimension P*M that LU solves; see
@@ -252,19 +277,28 @@ def lmmse_operator(model: StackedModel, tx_power: float) -> np.ndarray:
     either branch.
     """
     check("tx_power", tx_power, POSITIVE)
-    p, m = model.n_taps, model.n_streams
+    return _lmmse_operators([model], tx_power)[0]
+
+
+def _lmmse_operators(models: list[StackedModel], tx_power: float) -> list[np.ndarray]:
+    """:func:`lmmse_operator` of each of ``models``, all of M streams: LU
+    one window at a time, and the windows block Levinson solves in one
+    lockstep, each to the bits of its own solve."""
+    m = models[0].n_streams
+    by_lu = [_solves_by_lu(model.n_taps, m) for model in models]
     try:
-        if _solves_by_lu(p, m):
-            solution = np.linalg.solve(
-                _stacked_covariance(model, tx_power), model.signal_signatures
-            )
-        else:
-            solution = _block_levinson(
-                _covariance_lags(model, tx_power), model.signal_signatures
-            )
+        levinson = iter(_block_levinson([
+            (_covariance_lags(model, tx_power), model.signal_signatures)
+            for model, lu in zip(models, by_lu) if not lu
+        ]))
+        solutions = [
+            np.linalg.solve(_stacked_covariance(model, tx_power), model.signal_signatures)
+            if lu else next(levinson)
+            for model, lu in zip(models, by_lu)
+        ]
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"stacked covariance is singular: {err}") from err
-    return solution * (tx_power / m)
+    return [solution * (tx_power / m) for solution in solutions]
 
 
 def achievable_rate(model: StackedModel, estimator: np.ndarray, tx_power: float) -> float:
@@ -367,29 +401,77 @@ class CdfResult:
     trials: list[LinkResult] = field(default_factory=list)
 
 
+#: Bytes that one lockstep of block Levinson windows may stack (the size of
+#: one LU covariance at P M = 256); see :func:`_trials`.
+_LOCKSTEP_BYTES = 2**20
+
+
+def _lockstep_bytes(models: list[StackedModel]) -> int:
+    """What :func:`_block_levinson` stacks for ``models``: about 8 P M^2
+    complex entries each (two lag rows, three work columns, the right-hand
+    side and the lags), every model padded to the longest P."""
+    m = models[0].n_streams
+    return 128 * len(models) * max(model.n_taps for model in models) * m * m
+
+
+def _trials(config: "ScenarioConfig", trials) -> list[LinkResult]:
+    """Run drops ``trials`` of ``config``, each on its own substream, so
+    every result is independent of run order and grouping; returned in the
+    order of ``trials``.
+
+    Each drop is realized, sampled, beamformed and projected at once.  A
+    window that LU solves finishes there; a longer one keeps only its model
+    and facts until its group would stack more than ``_LOCKSTEP_BYTES``,
+    and then the group solves in one block Levinson lockstep
+    (:func:`_lmmse_operators`), each drop to the bits of its own solve.
+    """
+    m, tx_power = config.n_streams, config.tx_power_w
+    excess = config.se_normalization == "excess-bandwidth"
+    results: dict[int, LinkResult] = {}
+    group: list[tuple[StackedModel, dict]] = []
+
+    def finish(model: StackedModel, estimator: np.ndarray, facts: dict) -> None:
+        rate = achievable_rate(model, estimator, tx_power)
+        se = rate / (1.0 + config.rolloff) if excess else rate
+        results[facts["trial_seed"]] = LinkResult(rate=rate, spectral_efficiency=se, **facts)
+
+    def solve_group() -> None:
+        models = [model for model, _ in group]
+        for (model, facts), estimator in zip(group, _lmmse_operators(models, tx_power)):
+            finish(model, estimator, facts)
+        group.clear()
+
+    for k in trials:
+        rng = RngStream(config.seed, k).generator()
+        real = realize_channel(config, rng)
+        # Link evaluation is symbol-spaced regardless of the inspection
+        # oversampling configured for tensor export.
+        channel = sample_channel(
+            real, config.arrays(), config.pulse(), config.energy_threshold, oversampling=1
+        )
+        pair = design_beamformers(channel, m)
+        model = build_stacked_model(channel, pair, config.noise_variance())
+        facts = dict(
+            trial_seed=k,
+            los=real.los.present,
+            n_clusters=real.n_clusters,
+            n_taps=channel.n_taps,
+            selected_tap=pair.tap_index,
+        )
+        if _solves_by_lu(model.n_taps, m):
+            finish(model, lmmse_operator(model, tx_power), facts)
+            continue
+        if group and _lockstep_bytes([x for x, _ in group] + [model]) > _LOCKSTEP_BYTES:
+            solve_group()
+        group.append((model, facts))
+    if group:
+        solve_group()
+    return [results[k] for k in trials]
+
+
 def _single_trial(config: "ScenarioConfig", trial: int) -> LinkResult:
     """Run drop ``trial`` on its own substream; independent of run order."""
-    rng = RngStream(config.seed, trial).generator()
-    real = realize_channel(config, rng)
-    # Link evaluation is symbol-spaced regardless of the inspection
-    # oversampling configured for tensor export.
-    channel = sample_channel(
-        real, config.arrays(), config.pulse(), config.energy_threshold, oversampling=1
-    )
-    pair = design_beamformers(channel, config.n_streams)
-    model = build_stacked_model(channel, pair, config.noise_variance())
-    estimator = lmmse_operator(model, config.tx_power_w)
-    rate = achievable_rate(model, estimator, config.tx_power_w)
-    excess = config.se_normalization == "excess-bandwidth"
-    return LinkResult(
-        rate=rate,
-        spectral_efficiency=rate / (1.0 + config.rolloff) if excess else rate,
-        trial_seed=trial,
-        los=real.los.present,
-        n_clusters=real.n_clusters,
-        n_taps=channel.n_taps,
-        selected_tap=pair.tap_index,
-    )
+    return _trials(config, [trial])[0]
 
 
 def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
@@ -404,13 +486,14 @@ def run_cdf_experiment(config: "ScenarioConfig", n_jobs: int = 1) -> CdfResult:
     trials = range(config.n_trials)
     workers = min(n_jobs, config.n_trials)
     if workers == 1:
-        results = [_single_trial(config, k) for k in trials]
+        results = _trials(config, trials)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, config.n_trials // (4 * workers))
+        chunks = [trials[start : start + chunk] for start in range(0, config.n_trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_single_trial, config), trials, chunksize=chunk))
+            results = [r for part in pool.map(partial(_trials, config), chunks) for r in part]
     se = np.sort(np.array([r.spectral_efficiency for r in results]))
     cdf = np.arange(1, config.n_trials + 1) / config.n_trials
     return CdfResult(spectral_efficiency=se, cdf=cdf, trials=results)

@@ -26,12 +26,17 @@ from mmwchan.channel import SampledChannel
 from mmwchan.link import (
     LU_MAX_DIM,
     StackedModel,
+    _LOCKSTEP_BYTES,
     _block_levinson,
     _covariance_lags,
+    _lmmse_operators,
+    _lockstep_bytes,
     _single_trial,
     _solves_by_lu,
     _stacked_covariance,
+    _trials,
 )
+from mmwchan import link as link_module
 
 # Frozen: k_B * 290 K * 500 MHz * 10^(5/10).
 THERMAL_500MHZ_5DB = 6.330693459389029e-12
@@ -230,7 +235,7 @@ def test_lmmse_operator_solves_normal_equations():
         np.testing.assert_allclose(C @ E, rhs, rtol=0, atol=1e-8, err_msg=shape)
         # The block Levinson recursion agrees with LU at every size.
         np.testing.assert_allclose(
-            _block_levinson(_covariance_lags(model, tx_power), A),
+            _block_levinson([(_covariance_lags(model, tx_power), A)])[0],
             np.linalg.solve(C, A),
             rtol=0,
             atol=1e-8,
@@ -269,6 +274,87 @@ def test_lmmse_operator_does_not_form_a_long_windows_covariance():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_block_levinson_lockstep_matches_one_system_calls(m):
+    """Systems of mixed P, a tie among them, solved in one lockstep give
+    each the bits of its own solve, in any order."""
+    models = [
+        stacked_model(np.random.default_rng(40 + 10 * m + i), p, m, m + 2)
+        for i, p in enumerate([65, 1, 150, 2, 33, 65])
+    ]
+    systems = [(_covariance_lags(model, 1.3), model.signal_signatures) for model in models]
+    alone = [_block_levinson([system])[0] for system in systems]
+    for order in (range(6), [2, 4, 0, 5, 1, 3]):
+        together = _block_levinson([systems[i] for i in order])
+        for i, solution in zip(order, together):
+            assert solution.shape == alone[i].shape
+            assert np.array_equal(solution, alone[i]), (m, models[i].n_taps)
+
+
+def test_block_levinson_lockstep_names_a_singular_member():
+    """One singular system fails the whole lockstep with the error that
+    ``lmmse_operator`` raises, whether its leading block or a later S is
+    singular."""
+    eye = np.eye(2, dtype=np.complex128)
+    # R(0) = R(1) = I: the leading block is I, but C = [[I, I], [I, I]].
+    singular_step = (np.stack([eye, eye, eye]), np.ones((4, 2), dtype=np.complex128))
+    good = [stacked_model(np.random.default_rng(50 + p), p, 2, 4) for p in (200, 190)]
+    systems = [(_covariance_lags(model, 1.0), model.signal_signatures) for model in good]
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_levinson([systems[0], singular_step, systems[1]])
+    zero = StackedModel(
+        projected_taps=np.zeros((195, 2, 2), dtype=np.complex128),
+        combiner=np.zeros((4, 2), dtype=np.complex128),
+        noise_variance=1.0,
+    )
+    assert not _solves_by_lu(195, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="stacked covariance is singular"):
+        _lmmse_operators([good[0], zero, good[1]], 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:strongest tap supports:RuntimeWarning")
+def test_trials_bound_the_lockstep_memory(monkeypatch):
+    """``_trials`` solves long windows in groups whose stacked buffers stay
+    within ``_LOCKSTEP_BYTES``: over the long windows of 200 default drops,
+    which would stack several budgets in one lockstep, its peak stays within
+    one budget of a lone long drop's, and every rate is ``_single_trial``'s."""
+    config = ScenarioConfig(seed=0)
+    m = config.n_streams
+    taps = {}
+    for k in range(200):
+        real = realize_channel(config, RngStream(config.seed, k).generator())
+        channel = sample_channel(
+            real, config.arrays(), config.pulse(), config.energy_threshold, oversampling=1
+        )
+        if not _solves_by_lu(channel.n_taps, m):
+            taps[k] = channel.n_taps
+    longest = max(taps, key=taps.get)
+    assert 128 * len(taps) * taps[longest] * m * m > 4 * _LOCKSTEP_BYTES
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            results = _trials(config, trials)
+            return results, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    groups = []
+    solve = link_module._lmmse_operators
+
+    def recording(models, tx_power):
+        groups.append(len(models))
+        assert len(models) == 1 or _lockstep_bytes(models) <= _LOCKSTEP_BYTES
+        return solve(models, tx_power)
+
+    monkeypatch.setattr(link_module, "_lmmse_operators", recording)
+    _, alone = peak([longest])
+    results, together = peak(list(taps))
+    assert sum(groups) == len(taps) + 1 and max(groups) >= 3, groups
+    assert together < alone + _LOCKSTEP_BYTES, (together, alone)
+    assert [r.rate for r in results] == [_single_trial(config, k).rate for k in taps]
 
 
 # -- the tap plan behind a sampled channel ---------------------------------
@@ -495,15 +581,21 @@ def test_cdf_experiment_rejects_bad_job_count_by_name(n_jobs):
 
 
 def test_cdf_experiment_parallel_matches_serial():
-    config = ScenarioConfig(seed=7, n_trials=8)
+    # 16 drops in chunks of 2: five block Levinson windows in four chunks,
+    # two of them in one chunk's lockstep, and too many bytes for one
+    # serial lockstep.
+    config = ScenarioConfig(seed=7, n_trials=16)
     serial = run_cdf_experiment(config, n_jobs=1)
+    levinson = [r.trial_seed for r in serial.trials if not _solves_by_lu(r.n_taps, 4)]
+    chunks = [k // 2 for k in levinson]
+    assert len(levinson) >= 3 and len(set(chunks)) >= 2 and len(set(chunks)) < len(chunks)
     parallel = run_cdf_experiment(config, n_jobs=2)
     np.testing.assert_array_equal(
         serial.spectral_efficiency, parallel.spectral_efficiency
     )
-    for a, b in zip(serial.trials, parallel.trials):
-        assert a.rate == b.rate
-        assert a.los == b.los
+    assert parallel.trials == serial.trials
+    for k, result in enumerate(serial.trials):
+        assert result == _single_trial(config, k), k
 
 
 class _SerialPool:

@@ -16,6 +16,11 @@ picks the solver from P and M alone: LU on the assembled C while its
 O((P M)^3) work is the cheaper, else block Levinson recursion on the lags
 of C, which never forms the (P M)^2 matrix.  Both meet the same test
 tolerances; the per-M costs the rule is fitted to are in ``BENCH_23.json``.
+A Levinson step costs its numpy calls more than its arithmetic, so
+:func:`run_cdf_experiment` solves the long windows of several drops in one
+lockstep (:func:`_block_levinson`), within ``_LOCKSTEP_BYTES``, each to the
+bits of its own solve.  The lags of long windows, and the two lag products
+of the rate, are FFT correlations (:func:`_shifted_products`).
 """
 
 from __future__ import annotations
@@ -124,16 +129,37 @@ def build_stacked_model(
     )
 
 
+def _correlates_by_fft(p: int, m: int) -> bool:
+    """Whether :func:`_shifted_products` of P taps of M streams runs on the
+    FFT: for P > max(48, 12 M, 320 / M^3), the crossover with the batched
+    product measured at M = 1, 2, 4 and 8 (``BENCH_29.json``).  The shape
+    alone sets it, so every run agrees."""
+    return p > max(48, 12 * m, 320 // m**3)
+
+
 def _shifted_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``S(d) = left[:, dM:] @ right[:(P-d)M]`` for d = 0 .. P-1, as (P, M, M),
-    from an (M, P M) ``left`` and a (P M, M) ``right``: one batched product
-    over shifted windows of ``left`` zero-padded to (M, 2 P M), or, past
-    ``P M^3 = 2^14``, where its doubled multiply-adds cost more than the
-    calls it saves, one product per lag."""
+    from an (M, P M) ``left`` and a (P M, M) ``right``.
+
+    Short windows take one batched product over shifted windows of ``left``
+    zero-padded to (M, 2 P M), O(P^2 M^3) multiply-adds.  The windows
+    :func:`_correlates_by_fft` picks correlate the M x M blocks on the FFT
+    instead: with L(j) the blocks of ``left`` and R(k) those of ``right``,
+    ``S(d) = sum_k L(k+d) R(k)`` is term P-1+d of the convolution of L with
+    the reversed R, the product of their spectra at a length n >= 2P-1 of
+    the form 2^a or 3 2^a.  Its round-off is of the order of eps log n of
+    the largest S(d).
+    """
     m, pm = left.shape
     p = pm // m
-    if p * m**3 > 2**14:
-        return np.stack([left[:, d * m :] @ right[: (p - d) * m] for d in range(p)])
+    if _correlates_by_fft(p, m):
+        n = min(1 << (2 * p - 2).bit_length(), 3 << ((2 * p + 1) // 3 - 1).bit_length())
+        blocks = np.empty((2, m, m, p), dtype=np.complex128)
+        blocks[0] = left.reshape(m, p, m).transpose(0, 2, 1)
+        blocks[1] = right.reshape(p, m, m)[::-1].transpose(1, 2, 0)
+        spec_left, spec_right = np.fft.fft(blocks, n)
+        spectrum = sum(spec_left[:, j, None] * spec_right[j] for j in range(m))
+        return np.fft.ifft(spectrum)[:, :, p - 1 : 2 * p - 1].transpose(2, 0, 1)
     padded = np.zeros((m, 2 * pm), dtype=np.complex128)
     padded[:, :pm] = left
     row, item = padded.strides

@@ -28,9 +28,11 @@ from mmwchan.link import (
     StackedModel,
     _LOCKSTEP_BYTES,
     _block_levinson,
+    _correlates_by_fft,
     _covariance_lags,
     _lmmse_operators,
     _lockstep_bytes,
+    _shifted_products,
     _single_trial,
     _solves_by_lu,
     _stacked_covariance,
@@ -274,6 +276,28 @@ def test_lmmse_operator_does_not_form_a_long_windows_covariance():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_shifted_products_match_the_per_lag_definition(m):
+    """Both branches of ``_shifted_products`` against ``S(d) = left[:, dM:]
+    @ right[:(P-d)M]``: the batched product up to the FFT threshold, the FFT
+    one tap beyond it and at P = 150 and 300.  An FFT's round-off is of the
+    order of eps log2(n) of the largest value it carries (Gentleman & Sande
+    1966), here the largest lag, so 1e-13 of it leaves a margin of ~30 at
+    n <= 1024; a wrong shift, reversal or conjugate is off by order one."""
+    last = max(p for p in range(1, 1024) if not _correlates_by_fft(p, m))
+    assert _correlates_by_fft(last + 1, m)
+    rng = np.random.default_rng(60 + m)
+    for p in sorted({last - 1, last, last + 1, 150, 300}):
+        left = rng.standard_normal((m, p * m)) + 1j * rng.standard_normal((m, p * m))
+        right = rng.standard_normal((p * m, m)) + 1j * rng.standard_normal((p * m, m))
+        want = np.stack([left[:, d * m :] @ right[: (p - d) * m] for d in range(p)])
+        got = _shifted_products(left, right)
+        assert got.shape == (p, m, m)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=1e-13 * np.abs(want).max(), err_msg=f"P={p}"
+        )
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])

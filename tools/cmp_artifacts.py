@@ -31,8 +31,8 @@ with its serial ones, 160 pairs in all.  Prints each differing pair, each
 tree's ``mmwchan`` size (the lines of its ``*.py`` files) and an "N of M
 differ" line; exits 1 if any pair differs.  A differing pair of
 trial logs also gets a summary: how many trials' ``rate_bits_per_use``
-moved by more than 1e-9 relative, the largest move in bits/use, and how
-many ``selected_tap`` values changed.  So does a differing pair of
+moved by more than 1e-9 relative and the shortest ``n_taps`` among them, the
+largest move in bits/use, and how many ``selected_tap`` values changed.  So does a differing pair of
 sidecars: whether their ``run`` objects are equal, and which
 ``realization`` keys, at the top level, in ``los`` and in the clusters,
 were added, removed or changed.
@@ -113,11 +113,12 @@ def _describe_logs(a: Path, b: Path) -> str:
     if len(old) != len(new):
         return f"{len(old)} vs {len(new)} trials"
     moves = [abs(y["rate_bits_per_use"] - x["rate_bits_per_use"]) for x, y in zip(old, new)]
-    moved = sum(
-        move > RATE_RTOL * abs(x["rate_bits_per_use"]) for move, x in zip(moves, old)
-    )
+    moved = [
+        x["n_taps"] for move, x in zip(moves, old) if move > RATE_RTOL * abs(x["rate_bits_per_use"])
+    ]
     taps = sum(x["selected_tap"] != y["selected_tap"] for x, y in zip(old, new))
-    return (f"{moved} of {len(old)} rates moved > {RATE_RTOL:g} relative, "
+    shortest = f", shortest n_taps {min(moved)}" if moved else ""
+    return (f"{len(moved)} of {len(old)} rates moved > {RATE_RTOL:g} relative{shortest}, "
             f"largest {max(moves, default=0.0):.6g} bits/use; {taps} selected_tap changed")
 
 

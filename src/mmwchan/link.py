@@ -228,8 +228,9 @@ def _block_levinson(systems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.nda
     if not systems:
         return []
     order = sorted(range(len(systems)), key=lambda i: -len(systems[i][0]))
-    sizes = [(len(systems[i][0]) + 1) // 2 for i in order]
-    k, p, m = len(order), sizes[0], systems[0][0].shape[1]
+    lags = [systems[i][0] for i in order]
+    sizes = [(len(x) + 1) // 2 for x in lags]
+    k, p, m = len(order), sizes[0], lags[0].shape[1]
     # Block rows [R(P-1) ... R(1)], right-aligned, and [R(-1) ... R(-(P-1))],
     # left-aligned; step n reads the last and the first n blocks.  ``work``
     # holds [0; B], [F; 0] and [X; 0] side by side; ``step`` holds
@@ -237,18 +238,17 @@ def _block_levinson(systems: list[tuple[np.ndarray, np.ndarray]]) -> list[np.nda
     ahead = np.zeros((k, m, (p - 1) * m), dtype=np.complex128)
     behind = np.zeros((k, m, (p - 1) * m), dtype=np.complex128)
     rhs = np.zeros((k, p * m, m), dtype=np.complex128)
-    for row, (i, q) in enumerate(zip(order, sizes)):
-        lags, span = systems[i][0], (q - 1) * m
-        ahead[row, :, (p - 1) * m - span :] = lags[q:][::-1].transpose(1, 0, 2).reshape(m, span)
-        behind[row, :, :span] = lags[: q - 1][::-1].transpose(1, 0, 2).reshape(m, span)
-        rhs[row, : q * m] = systems[i][1]
+    for row, (x, q) in enumerate(zip(lags, sizes)):
+        span = (q - 1) * m
+        ahead[row, :, (p - 1) * m - span :] = x[q:][::-1].transpose(1, 0, 2).reshape(m, span)
+        behind[row, :, :span] = x[: q - 1][::-1].transpose(1, 0, 2).reshape(m, span)
+        rhs[row, : q * m] = systems[order[row]][1]
     work = np.zeros((k, (p + 1) * m, 3 * m), dtype=np.complex128)
-    inverse = np.linalg.inv(np.stack([systems[i][0][q - 1] for i, q in zip(order, sizes)]))
+    inverse = np.linalg.inv(np.stack([x[q - 1] for x, q in zip(lags, sizes)]))
     work[:, m : 2 * m, :m] = inverse
     work[:, :m, m : 2 * m] = inverse
     work[:, :m, 2 * m :] = inverse @ rhs[:, :m]
-    step = np.zeros((k, 2 * m, 3 * m), dtype=np.complex128)
-    step[:] = np.eye(2 * m, 3 * m)
+    step = np.tile(np.eye(2 * m, 3 * m, dtype=np.complex128), (k, 1, 1))
     running = k
     for n in range(1, p):
         while sizes[running - 1] <= n:

@@ -131,10 +131,10 @@ def build_stacked_model(
 
 def _correlates_by_fft(p: int, m: int) -> bool:
     """Whether :func:`_shifted_products` of P taps of M streams runs on the
-    FFT: for P > max(48, 12 M, 320 / M^3), the crossover with the batched
-    product measured at M = 1, 2, 4 and 8 (``BENCH_29.json``).  The shape
-    alone sets it, so every run agrees."""
-    return p > max(48, 12 * m, 320 // m**3)
+    FFT: for P > max(48, 320 / M^3), the crossover with the batched product
+    measured at M = 1, 2, 4 and 8 (``BENCH_29.json``).  The shape alone
+    sets it, so every run agrees."""
+    return p > max(48, 320 // m**3)
 
 
 def _shifted_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:

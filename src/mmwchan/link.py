@@ -16,11 +16,12 @@ picks the solver from P and M alone: LU on the assembled C while its
 O((P M)^3) work is the cheaper, else block Levinson recursion on the lags
 of C, which never forms the (P M)^2 matrix.  Both meet the same test
 tolerances; the per-M costs the rule is fitted to are in ``BENCH_23.json``.
-A Levinson step costs its numpy calls more than its arithmetic, so
-:func:`run_cdf_experiment` solves the long windows of several drops in one
-lockstep (:func:`_block_levinson`), within ``_LOCKSTEP_BYTES``, each to the
-bits of its own solve.  The lags of long windows, and the two lag products
-of the rate, are FFT correlations (:func:`_shifted_products`).
+At M <= 4 a Levinson step costs its numpy calls more than its
+arithmetic, so :func:`run_cdf_experiment` solves the long windows of
+several drops in one lockstep (:func:`_block_levinson`), within
+``_LOCKSTEP_BYTES``, each to the bits of its own solve.  The lags of long
+windows, and the two lag products of the rate, are FFT correlations
+(:func:`_shifted_products`).
 """
 
 from __future__ import annotations
